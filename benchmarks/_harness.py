@@ -8,8 +8,10 @@ directory is put on ``sys.path`` by ``conftest.py``.
 By default the architectural experiments run a representative subset of
 the sixteen benchmarks with shortened instruction counts so the whole
 harness finishes in a few minutes; set ``REPRO_BENCH_FULL=1`` to sweep all
-sixteen benchmarks at the full default run length (as used for the numbers
-recorded in EXPERIMENTS.md).
+sixteen benchmarks at the full default run length.  The exact numbers
+every experiment produces are pinned, at a small fixed size, by the golden
+snapshots in ``tests/experiments/goldens/`` (``python -m repro
+regen-goldens`` writes them; CI diffs them).
 """
 
 from __future__ import annotations

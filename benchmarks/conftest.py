@@ -16,11 +16,20 @@ import sys
 
 import pytest
 
+from repro.sim import SimEngine
+
 _HERE = os.path.dirname(os.path.abspath(__file__))
 if _HERE not in sys.path:
     sys.path.insert(0, _HERE)
 
 from _harness import BENCHMARKS, N_INSTRUCTIONS  # noqa: E402
+
+
+@pytest.fixture(scope="session")
+def bench_engine():
+    """One memoising engine shared by every bench, as the experiments share runs."""
+    with SimEngine() as engine:
+        yield engine
 
 
 @pytest.fixture(scope="session")

@@ -12,9 +12,9 @@ from _harness import FULL, run_once
 SIZES = SUBARRAY_SIZES if FULL else (4096, 1024, 256)
 
 
-def test_bench_figure10(benchmark, bench_benchmarks, bench_instructions):
+def test_bench_figure10(benchmark, bench_engine, bench_benchmarks, bench_instructions):
     result = run_once(
-        benchmark, figure10, benchmarks=bench_benchmarks, subarray_sizes=SIZES,
+        benchmark, figure10, bench_engine, benchmarks=bench_benchmarks, subarray_sizes=SIZES,
         n_instructions=min(bench_instructions, 12_000),
     )
     print()

@@ -9,9 +9,9 @@ from repro.experiments.figure3 import figure3, format_figure3
 from _harness import run_once
 
 
-def test_bench_figure3(benchmark, bench_benchmarks, bench_instructions):
+def test_bench_figure3(benchmark, bench_engine, bench_benchmarks, bench_instructions):
     result = run_once(
-        benchmark, figure3, benchmarks=bench_benchmarks,
+        benchmark, figure3, bench_engine, benchmarks=bench_benchmarks,
         n_instructions=bench_instructions,
     )
     print()

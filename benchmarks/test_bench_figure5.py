@@ -11,9 +11,9 @@ from repro.sim.metrics import arithmetic_mean
 from _harness import run_once
 
 
-def test_bench_figure5(benchmark, bench_benchmarks, bench_instructions):
+def test_bench_figure5(benchmark, bench_engine, bench_benchmarks, bench_instructions):
     result = run_once(
-        benchmark, figure5, benchmarks=bench_benchmarks,
+        benchmark, figure5, bench_engine, benchmarks=bench_benchmarks,
         n_instructions=bench_instructions,
     )
     print()

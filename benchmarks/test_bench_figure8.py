@@ -11,9 +11,9 @@ from repro.experiments.figure8 import figure8, format_figure8
 from _harness import run_once
 
 
-def test_bench_figure8(benchmark, bench_benchmarks, bench_instructions):
+def test_bench_figure8(benchmark, bench_engine, bench_benchmarks, bench_instructions):
     result = run_once(
-        benchmark, figure8, benchmarks=bench_benchmarks,
+        benchmark, figure8, bench_engine, benchmarks=bench_benchmarks,
         n_instructions=bench_instructions,
     )
     print()

@@ -14,9 +14,9 @@ from _harness import FULL, run_once
 NODES = [180, 130, 100, 70] if FULL else [180, 70]
 
 
-def test_bench_figure9(benchmark, bench_benchmarks, bench_instructions):
+def test_bench_figure9(benchmark, bench_engine, bench_benchmarks, bench_instructions):
     result = run_once(
-        benchmark, figure9, benchmarks=bench_benchmarks, nodes=NODES,
+        benchmark, figure9, bench_engine, benchmarks=bench_benchmarks, nodes=NODES,
         n_instructions=min(bench_instructions, 12_000),
     )
     print()

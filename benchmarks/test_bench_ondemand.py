@@ -11,9 +11,9 @@ from repro.experiments.ondemand import format_ondemand, ondemand_slowdown
 from _harness import run_once
 
 
-def test_bench_ondemand_slowdown(benchmark, bench_benchmarks, bench_instructions):
+def test_bench_ondemand_slowdown(benchmark, bench_engine, bench_benchmarks, bench_instructions):
     result = run_once(
-        benchmark, ondemand_slowdown, benchmarks=bench_benchmarks,
+        benchmark, ondemand_slowdown, bench_engine, benchmarks=bench_benchmarks,
         n_instructions=bench_instructions,
     )
     print()

@@ -14,6 +14,7 @@ Usage::
 from __future__ import annotations
 
 import sys
+from dataclasses import replace
 
 from repro.sim import PolicySpec, SimEngine, SimulationConfig, slowdown
 
@@ -29,7 +30,8 @@ def main() -> None:
         feature_size_nm=70,
         n_instructions=20_000,
     )
-    gated_config = baseline_config.with_policies(
+    gated_config = replace(
+        baseline_config,
         dcache=PolicySpec("gated-predecode", {"threshold": threshold}),
         icache=PolicySpec("gated", {"threshold": threshold}),
     )

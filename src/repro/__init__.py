@@ -45,13 +45,14 @@ Quick start::
 
 New precharge policies plug in through the registry — no driver changes::
 
+    from dataclasses import replace
     from repro.core import register_policy
 
     @register_policy("drowsy")
     def make_drowsy(wake_cycles: int = 2):
         return DrowsyPolicy(wake_cycles=wake_cycles)
 
-    engine.run(config.with_policies("drowsy", "drowsy"))
+    engine.run(replace(config, dcache="drowsy", icache="drowsy"))
 
 Or from a shell::
 
@@ -64,8 +65,6 @@ from .sim import (
     RunResult,
     SimEngine,
     SimulationConfig,
-    default_engine,
-    run_simulation,
 )
 
 __version__ = "2.0.0"
@@ -75,7 +74,5 @@ __all__ = [
     "RunResult",
     "SimEngine",
     "SimulationConfig",
-    "default_engine",
-    "run_simulation",
     "__version__",
 ]

@@ -3,9 +3,7 @@
 Measures the fast-path kernel and the sweep runtime against the
 reference cycle loop and writes a ``BENCH_*.json`` artifact (the
 committed ``BENCH_pr6.json`` at the repository root is this harness's
-output at the default size).  The ad-hoc ``benchmarks/perf_prN.py``
-scripts from earlier PRs are superseded: ``benchmarks/perf_pr4.py`` is a
-thin wrapper over this module.
+output at the default size).
 
 Three sections:
 
@@ -67,8 +65,6 @@ from repro.workloads.characteristics import benchmark_names
 
 __all__ = [
     "add_bench_arguments",
-    "build_parser",
-    "main",
     "run_bench",
     "run_from_args",
     "GRID_BENCHMARKS",
@@ -502,14 +498,6 @@ def add_bench_arguments(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="repro bench", description=__doc__.splitlines()[0]
-    )
-    add_bench_arguments(parser)
-    return parser
-
-
 def run_from_args(args: argparse.Namespace) -> int:
     """Execute the harness from parsed arguments (CLI integration point)."""
     if args.service and args.clients < 1:
@@ -542,8 +530,3 @@ def run_from_args(args: argparse.Namespace) -> int:
         service_clients=args.clients if args.service else None,
     )
     return status
-
-
-def main(argv: Optional[Sequence[str]] = None) -> int:
-    """Entry point (used by ``repro bench`` and ``benchmarks/perf_pr4.py``)."""
-    return run_from_args(build_parser().parse_args(argv))

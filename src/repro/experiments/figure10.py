@@ -15,8 +15,8 @@ from typing import Dict, Optional, Sequence, Tuple, Union
 
 from repro.core.registry import PolicySpec
 from repro.sim.config import SimulationConfig
+from repro.sim.engine import SimEngine
 from repro.sim.metrics import arithmetic_mean
-from repro.sim.sweep import sweep_benchmarks
 
 from .report import format_percent, format_table
 
@@ -57,23 +57,23 @@ class Figure10Result:
 
 
 def figure10(
+    engine: SimEngine,
     benchmarks: Optional[Sequence[str]] = None,
     subarray_sizes: Sequence[int] = SUBARRAY_SIZES,
     feature_size_nm: int = 70,
     n_instructions: int = 15_000,
     threshold: int = 100,
-    engine: Optional["SimEngine"] = None,
     l2: Union[PolicySpec, str] = "static",
 ) -> Figure10Result:
     """Regenerate Figure 10 (gated precharging vs subarray size).
 
     Args:
+        engine: Engine to run on.
         benchmarks: Benchmark subset (default: all sixteen).
         subarray_sizes: L1 subarray sizes to sweep.
         feature_size_nm: Technology node.
         n_instructions: Micro-ops per run.
         threshold: Gated-precharging decay threshold.
-        engine: Engine to run on; defaults to the process-wide engine.
         l2: L2 precharge policy applied to every run.
     """
     dcache_avg: Dict[int, float] = {}
@@ -89,7 +89,7 @@ def figure10(
             n_instructions=n_instructions,
             l2=l2,
         )
-        runs = sweep_benchmarks(config, benchmarks, engine=engine)
+        runs = engine.sweep(config, benchmarks)
         dcache_avg[size] = arithmetic_mean(
             r.energy.dcache.precharged_fraction for r in runs.values()
         )
@@ -140,9 +140,9 @@ from .registry import ExperimentOptions, register_experiment  # noqa: E402
 def _figure10_experiment(engine, options: ExperimentOptions):
     """Precharged-subarray fraction as the L1 subarray size varies."""
     return figure10(
+        engine,
         benchmarks=options.benchmarks,
         feature_size_nm=options.resolved_feature_size(),
         n_instructions=options.resolved_instructions(15_000),
-        engine=engine,
         l2=options.resolved_l2(),
     )

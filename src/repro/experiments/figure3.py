@@ -14,8 +14,8 @@ from typing import Dict, List, Optional, Sequence, Union
 
 from repro.core.registry import PolicySpec
 from repro.sim.config import SimulationConfig
+from repro.sim.engine import SimEngine
 from repro.sim.metrics import arithmetic_mean
-from repro.sim.sweep import sweep_benchmarks
 from repro.workloads.characteristics import benchmark_names
 
 from .report import format_percent, format_table
@@ -63,19 +63,19 @@ class Figure3Result:
 
 
 def figure3(
+    engine: SimEngine,
     benchmarks: Optional[Sequence[str]] = None,
     feature_size_nm: int = 70,
     n_instructions: int = 20_000,
-    engine: Optional["SimEngine"] = None,
     l2: Union[PolicySpec, str] = "static",
 ) -> Figure3Result:
     """Regenerate Figure 3 (oracle potential savings).
 
     Args:
+        engine: Engine to run on.
         benchmarks: Benchmark subset (default: all sixteen).
         feature_size_nm: Technology node.
         n_instructions: Micro-ops per run.
-        engine: Engine to run on; defaults to the process-wide engine.
         l2: L2 precharge policy applied to every run (the paper's
             configuration keeps the L2 statically pulled up).
     """
@@ -86,7 +86,7 @@ def figure3(
         n_instructions=n_instructions,
         l2=l2,
     )
-    results = sweep_benchmarks(base, benchmarks, engine=engine)
+    results = engine.sweep(base, benchmarks)
     return Figure3Result(
         relative_discharge_dcache={
             name: r.energy.dcache_relative_discharge for name, r in results.items()
@@ -148,9 +148,9 @@ from .registry import ExperimentOptions, register_experiment  # noqa: E402
 def _figure3_experiment(engine, options: ExperimentOptions):
     """Oracle-policy potential: remaining L1 bitline discharge per benchmark."""
     return figure3(
+        engine,
         benchmarks=options.benchmarks,
         feature_size_nm=options.resolved_feature_size(),
         n_instructions=options.resolved_instructions(20_000),
-        engine=engine,
         l2=options.resolved_l2(),
     )

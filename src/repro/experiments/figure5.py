@@ -17,8 +17,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro.cache.subarray import SubarrayTracker
 from repro.core.registry import PolicySpec
 from repro.sim.config import SimulationConfig
+from repro.sim.engine import SimEngine
 from repro.sim.metrics import RunResult
-from repro.sim.sweep import sweep_benchmarks
 
 from .report import format_series
 
@@ -74,11 +74,11 @@ class Figure5Result:
 
 
 def figure5(
+    engine: SimEngine,
     benchmarks: Optional[Sequence[str]] = None,
     feature_size_nm: int = 70,
     n_instructions: int = 20_000,
     thresholds: Sequence[int] = ACCESS_FREQUENCY_THRESHOLDS,
-    engine: Optional["SimEngine"] = None,
 ) -> Figure5Result:
     """Regenerate Figure 5 from baseline (static pull-up) runs."""
     base = SimulationConfig(
@@ -87,7 +87,7 @@ def figure5(
         feature_size_nm=feature_size_nm,
         n_instructions=n_instructions,
     )
-    runs = sweep_benchmarks(base, benchmarks, engine=engine)
+    runs = engine.sweep(base, benchmarks)
     dcache = {
         name: _cumulative_from_gaps(run.dcache_gaps, thresholds)
         for name, run in runs.items()
@@ -122,8 +122,8 @@ from .registry import ExperimentOptions, register_experiment  # noqa: E402
 )
 def _figure5_experiment(engine, options: ExperimentOptions):
     return figure5(
+        engine,
         benchmarks=options.benchmarks,
         feature_size_nm=options.resolved_feature_size(),
         n_instructions=options.resolved_instructions(20_000),
-        engine=engine,
     )

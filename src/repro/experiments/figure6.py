@@ -73,8 +73,8 @@ def figure6(
         workload = make_workload(name, seed=config.seed)
         hierarchy = MemoryHierarchy(
             config=config.hierarchy_config(),
-            icache_controller=config.icache_controller(),
-            dcache_controller=config.dcache_controller(),
+            icache_controller=config.icache.build(),
+            dcache_controller=config.dcache.build(),
         )
         pipeline = OutOfOrderPipeline(
             hierarchy=hierarchy,

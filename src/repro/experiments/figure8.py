@@ -21,7 +21,7 @@ from typing import Dict, Optional, Sequence, Union
 
 from repro.core.registry import PolicySpec
 from repro.sim.config import SimulationConfig
-from repro.sim.engine import SimEngine, default_engine
+from repro.sim.engine import SimEngine
 from repro.sim.metrics import RunResult, arithmetic_mean, slowdown
 from repro.sim.sweep import select_benchmark_thresholds
 from repro.workloads.characteristics import benchmark_names
@@ -154,11 +154,11 @@ def _gated_row(
 
 
 def figure8(
+    engine: SimEngine,
     benchmarks: Optional[Sequence[str]] = None,
     feature_size_nm: int = 70,
     n_instructions: int = 20_000,
     constant_threshold: int = 100,
-    engine: Optional[SimEngine] = None,
     l2: Union[PolicySpec, str] = "static",
 ) -> Figure8Result:
     """Regenerate Figure 8 (gated precharging, optimum and constant thresholds).
@@ -170,7 +170,6 @@ def figure8(
     (baselines included), so the reported slowdowns stay relative to the
     same hierarchy.
     """
-    engine = default_engine() if engine is None else engine
     names = list(benchmarks) if benchmarks is not None else benchmark_names()
     base = SimulationConfig(
         feature_size_nm=feature_size_nm, n_instructions=n_instructions, l2=l2
@@ -180,7 +179,7 @@ def figure8(
     # profile and the slowdown baseline are the same configuration.
     baselines = engine.sweep(base, benchmarks=names)
     thresholds = {
-        name: select_benchmark_thresholds(name, base, engine=engine)
+        name: select_benchmark_thresholds(engine, name, base)
         for name in names
     }
 
@@ -299,9 +298,9 @@ from .registry import ExperimentOptions, register_experiment  # noqa: E402
 def _figure8_experiment(engine, options: ExperimentOptions):
     """Gated precharging: precharged subarrays, discharge and slowdown."""
     return figure8(
+        engine,
         benchmarks=options.benchmarks,
         feature_size_nm=options.resolved_feature_size(),
         n_instructions=options.resolved_instructions(20_000),
-        engine=engine,
         l2=options.resolved_l2(),
     )

@@ -17,8 +17,8 @@ from typing import Dict, Optional, Sequence, Tuple, Union
 from repro.circuits.technology import available_nodes
 from repro.core.registry import PolicySpec
 from repro.sim.config import SimulationConfig
+from repro.sim.engine import SimEngine
 from repro.sim.metrics import arithmetic_mean
-from repro.sim.sweep import sweep_benchmarks
 
 from .report import format_table
 
@@ -56,21 +56,21 @@ class Figure9Result:
 
 
 def figure9(
+    engine: SimEngine,
     benchmarks: Optional[Sequence[str]] = None,
     nodes: Optional[Sequence[int]] = None,
     n_instructions: int = 15_000,
     threshold: int = 100,
-    engine: Optional["SimEngine"] = None,
     l2: Union[PolicySpec, str] = "static",
 ) -> Figure9Result:
     """Regenerate Figure 9 (gated precharging vs resizable caches).
 
     Args:
+        engine: Engine to run on.
         benchmarks: Benchmark subset (default: all sixteen).
         nodes: Technology nodes to sweep (default: every modelled node).
         n_instructions: Micro-ops per run.
         threshold: Gated-precharging decay threshold.
-        engine: Engine to run on; defaults to the process-wide engine.
         l2: L2 precharge policy applied to every run.
     """
     nodes = list(nodes) if nodes is not None else available_nodes()
@@ -93,8 +93,8 @@ def figure9(
             n_instructions=n_instructions,
             l2=l2,
         )
-        gated_runs = sweep_benchmarks(gated_cfg, benchmarks, engine=engine)
-        resizable_runs = sweep_benchmarks(resizable_cfg, benchmarks, engine=engine)
+        gated_runs = engine.sweep(gated_cfg, benchmarks)
+        resizable_runs = engine.sweep(resizable_cfg, benchmarks)
         gated_d[nm] = arithmetic_mean(
             r.energy.dcache_relative_discharge for r in gated_runs.values()
         )
@@ -154,9 +154,9 @@ def _figure9_experiment(engine, options: ExperimentOptions):
     """Gated precharging vs the resizable-cache baseline across nodes."""
     nodes = None if options.feature_size_nm is None else [options.feature_size_nm]
     return figure9(
+        engine,
         benchmarks=options.benchmarks,
         nodes=nodes,
         n_instructions=options.resolved_instructions(15_000),
-        engine=engine,
         l2=options.resolved_l2(),
     )

@@ -23,7 +23,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.registry import PolicySpec
 from repro.sim.config import SimulationConfig
-from repro.sim.engine import SimEngine, default_engine
+from repro.sim.engine import SimEngine
 from repro.sim.metrics import RunResult, arithmetic_mean
 from repro.workloads.characteristics import benchmark_names
 
@@ -129,22 +129,22 @@ def _mark_pareto(points: List[Tuple[str, str, float, float]]) -> List[FrontierPo
 
 
 def energy_delay_frontier(
+    engine: SimEngine,
     benchmarks: Optional[Sequence[str]] = None,
     l1_menu: Sequence[Tuple[str, PolicySpec, PolicySpec]] = L1_MENU,
     l2_menu: Sequence[Tuple[str, PolicySpec]] = L2_MENU,
     feature_size_nm: int = 70,
     n_instructions: int = 15_000,
-    engine: Optional[SimEngine] = None,
 ) -> FrontierResult:
     """Compute the L1 x L2 energy-delay grid and its Pareto frontier.
 
     Args:
+        engine: Engine to run on.
         benchmarks: Benchmark subset (default: all sixteen).
         l1_menu: L1 policy pairs (label, dcache spec, icache spec).
         l2_menu: L2 policies (label, spec).
         feature_size_nm: Technology node.
         n_instructions: Micro-ops per run.
-        engine: Engine to run on; defaults to the process-wide engine.
 
     Returns:
         A :class:`FrontierResult` over the full grid.
@@ -155,7 +155,6 @@ def energy_delay_frontier(
     """
     if not l1_menu or not l2_menu:
         raise ValueError("both policy menus must be non-empty")
-    engine = default_engine() if engine is None else engine
     names = list(benchmarks) if benchmarks is not None else benchmark_names()
 
     grid = [
@@ -262,9 +261,9 @@ def _frontier_experiment(engine, options: ExperimentOptions):
         if spec.cache_key() != PolicySpec("static").cache_key():
             l2_menu += ((options.l2_policy, spec),)
     return energy_delay_frontier(
+        engine,
         benchmarks=options.benchmarks,
         l2_menu=l2_menu,
         feature_size_nm=options.resolved_feature_size(),
         n_instructions=options.resolved_instructions(15_000),
-        engine=engine,
     )

@@ -23,7 +23,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.registry import PolicySpec
 from repro.sim.config import SimulationConfig
-from repro.sim.engine import SimEngine, default_engine
+from repro.sim.engine import SimEngine
 from repro.sim.metrics import RunResult, arithmetic_mean, slowdown
 from repro.workloads.characteristics import benchmark_names
 
@@ -109,16 +109,17 @@ class L2SweepResult:
 
 
 def l2_policy_sweep(
+    engine: SimEngine,
     benchmarks: Optional[Sequence[str]] = None,
     policies: Optional[Sequence[PolicySpec]] = None,
     feature_size_nm: int = 70,
     n_instructions: int = 15_000,
     l1_threshold: int = 100,
-    engine: Optional[SimEngine] = None,
 ) -> L2SweepResult:
     """Sweep precharge policies over the unified L2.
 
     Args:
+        engine: Engine to run on.
         benchmarks: Benchmark subset (default: all sixteen).
         policies: L2 policy axis (default: :data:`L2_POLICY_MENU`); a
             static entry is prepended when missing, because it is the
@@ -126,12 +127,10 @@ def l2_policy_sweep(
         feature_size_nm: Technology node.
         n_instructions: Micro-ops per run.
         l1_threshold: Decay threshold of the fixed L1 gated policies.
-        engine: Engine to run on; defaults to the process-wide engine.
 
     Returns:
         An :class:`L2SweepResult` with one row per (policy, benchmark).
     """
-    engine = default_engine() if engine is None else engine
     names = list(benchmarks) if benchmarks is not None else benchmark_names()
     axis = list(policies) if policies is not None else list(L2_POLICY_MENU)
     static = PolicySpec("static")
@@ -238,9 +237,9 @@ def _l2sweep_experiment(engine, options: ExperimentOptions):
         # the slowdown baseline by l2_policy_sweep).
         policies = [options.resolved_l2()]
     return l2_policy_sweep(
+        engine,
         benchmarks=options.benchmarks,
         policies=policies,
         feature_size_nm=options.resolved_feature_size(),
         n_instructions=options.resolved_instructions(15_000),
-        engine=engine,
     )

@@ -10,13 +10,13 @@ comparing against the static pull-up baseline.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Dict, Optional, Sequence, Union
 
 from repro.core.registry import PolicySpec
 from repro.sim.config import SimulationConfig
+from repro.sim.engine import SimEngine
 from repro.sim.metrics import arithmetic_mean, slowdown
-from repro.sim.sweep import sweep_benchmarks
 
 from .report import format_percent, format_table
 
@@ -49,19 +49,19 @@ class OnDemandResult:
 
 
 def ondemand_slowdown(
+    engine: SimEngine,
     benchmarks: Optional[Sequence[str]] = None,
     feature_size_nm: int = 70,
     n_instructions: int = 20_000,
-    engine: Optional["SimEngine"] = None,
     l2: Union[PolicySpec, str] = "static",
 ) -> OnDemandResult:
     """Measure the Section 5 on-demand precharging slowdowns.
 
     Args:
+        engine: Engine to run on.
         benchmarks: Benchmark subset (default: all sixteen).
         feature_size_nm: Technology node.
         n_instructions: Micro-ops per run.
-        engine: Engine to run on; defaults to the process-wide engine.
         l2: L2 precharge policy applied to every run (baseline included).
     """
     baseline_cfg = SimulationConfig(
@@ -71,12 +71,12 @@ def ondemand_slowdown(
         n_instructions=n_instructions,
         l2=l2,
     )
-    dcache_cfg = baseline_cfg.with_policies("on-demand", "static")
-    icache_cfg = baseline_cfg.with_policies("static", "on-demand")
+    dcache_cfg = replace(baseline_cfg, dcache=PolicySpec("on-demand"))
+    icache_cfg = replace(baseline_cfg, icache=PolicySpec("on-demand"))
 
-    baselines = sweep_benchmarks(baseline_cfg, benchmarks, engine=engine)
-    dcache_runs = sweep_benchmarks(dcache_cfg, benchmarks, engine=engine)
-    icache_runs = sweep_benchmarks(icache_cfg, benchmarks, engine=engine)
+    baselines = engine.sweep(baseline_cfg, benchmarks)
+    dcache_runs = engine.sweep(dcache_cfg, benchmarks)
+    icache_runs = engine.sweep(icache_cfg, benchmarks)
 
     return OnDemandResult(
         dcache_slowdown={
@@ -124,9 +124,9 @@ from .registry import ExperimentOptions, register_experiment  # noqa: E402
 def _ondemand_experiment(engine, options: ExperimentOptions):
     """Per-benchmark slowdown of on-demand (partial-decode) precharging."""
     return ondemand_slowdown(
+        engine,
         benchmarks=options.benchmarks,
         feature_size_nm=options.resolved_feature_size(),
         n_instructions=options.resolved_instructions(20_000),
-        engine=engine,
         l2=options.resolved_l2(),
     )

@@ -17,7 +17,7 @@ with the retry discipline the server's admission control expects:
 
 :class:`RemoteEngine` adapts the client to the
 :class:`~repro.sim.engine.SimEngine` surface (``run`` / ``run_many`` /
-``sweep`` / ``select_thresholds`` / ``cached_results``), which is what
+``sweep`` / ``cached_results``), which is what
 lets ``repro run/sweep/experiment --server URL`` execute against a
 remote server with byte-identical results — every result travels as
 its exact :meth:`~repro.sim.metrics.RunResult.to_dict` JSON.
@@ -487,13 +487,6 @@ class RemoteEngine:
         names = list(benchmarks) if benchmarks is not None else benchmark_names()
         configs = [replace(base_config, benchmark=name) for name in names]
         return dict(zip(names, self.run_many(configs, workers=workers, fast=fast)))
-
-    def select_thresholds(self, benchmark: str, base_config: SimulationConfig, **kwargs):
-        from repro.sim.sweep import select_benchmark_thresholds
-
-        return select_benchmark_thresholds(
-            benchmark, base_config, engine=self, **kwargs
-        )
 
     def cached_results(self) -> List[RunResult]:
         """Results fetched through this facade (insertion order)."""

@@ -9,37 +9,29 @@ The driver layer is organised around four pieces:
   ``run_many``/``sweep`` fan-out;
 * :class:`~repro.sim.metrics.RunResult` — fully JSON-serialisable run
   outcome;
-* :mod:`~repro.sim.sweep` — benchmark sweeps and the Section 6.4
-  profiling-based threshold selection.
-
-:func:`run_simulation` remains as a shim over the process-wide default
-engine for quick interactive use.
+* :mod:`~repro.sim.sweep` — the Section 6.4 profiling-based threshold
+  selection.
 """
 
 from repro.core.registry import PolicySpec
 
-from .config import DEFAULT_INSTRUCTIONS, POLICY_NAMES, SimulationConfig, make_policy
-from .engine import RunCancelled, SimEngine, default_engine, execute_run, execute_run_fast
+from .config import DEFAULT_INSTRUCTIONS, SimulationConfig
+from .engine import RunCancelled, SimEngine, execute_run, execute_run_fast
 from .fastpath import CompiledTrace, clear_trace_cache, compile_workload
 from .metrics import RunResult, arithmetic_mean, geometric_mean, slowdown
-from .runner import clear_run_cache, run_simulation
 from .store import ResultStore
 from .sweep import (
     BenchmarkThresholds,
     DCACHE_REPLAY_FACTOR,
     select_benchmark_thresholds,
-    sweep_benchmarks,
 )
 
 __all__ = [
     "DEFAULT_INSTRUCTIONS",
-    "POLICY_NAMES",
     "PolicySpec",
     "SimulationConfig",
-    "make_policy",
     "RunCancelled",
     "SimEngine",
-    "default_engine",
     "execute_run",
     "execute_run_fast",
     "CompiledTrace",
@@ -49,11 +41,8 @@ __all__ = [
     "arithmetic_mean",
     "geometric_mean",
     "slowdown",
-    "clear_run_cache",
-    "run_simulation",
     "ResultStore",
     "BenchmarkThresholds",
     "DCACHE_REPLAY_FACTOR",
     "select_benchmark_thresholds",
-    "sweep_benchmarks",
 ]

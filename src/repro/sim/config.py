@@ -6,40 +6,28 @@ technology node (Table 1), the processor and memory-hierarchy sizing
 and the unified L2, and the run length.  The precharge policies are
 carried as declarative :class:`~repro.core.registry.PolicySpec` objects
 resolved through the policy registry, so adding a policy never touches
-this module.
-
-Legacy string-based construction
-(``SimulationConfig(dcache_policy="gated", dcache_threshold=150)``) and
-the matching read-only attributes are kept as deprecation shims; new code
-should pass specs::
+this module::
 
     SimulationConfig(dcache=PolicySpec("gated", {"threshold": 150}))
+
+A bare registered name is shorthand for a parameterless spec
+(``l2="gated"`` means ``l2=PolicySpec("gated")``).
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field, replace
 from typing import Any, Dict, Mapping, Optional, Tuple, Union
 
 from repro.cache.hierarchy import HierarchyConfig
-from repro.core.gated import DEFAULT_THRESHOLD
-from repro.core.policies import BasePrechargePolicy
-from repro.core.registry import PolicySpec, get_policy_info, policy_names
+from repro.core.registry import PolicySpec
 from repro.cpu.pipeline import PipelineConfig
 from repro.workloads.scenarios import workload_identity
 
 __all__ = [
     "SimulationConfig",
-    "make_policy",
-    "POLICY_NAMES",
     "DEFAULT_INSTRUCTIONS",
 ]
-
-#: Policy names registered by the core package at import time.  Kept for
-#: backwards compatibility; prefer :func:`repro.core.registry.policy_names`,
-#: which also reflects policies registered afterwards.
-POLICY_NAMES = policy_names()
 
 #: Default simulated instruction count for experiments.  The paper uses
 #: SimPoint regions of hundreds of millions of instructions; the synthetic
@@ -47,69 +35,12 @@ POLICY_NAMES = policy_names()
 DEFAULT_INSTRUCTIONS = 30_000
 
 
-def make_policy(
-    name: str,
-    threshold: int = DEFAULT_THRESHOLD,
-    resizable_interval: int = 50_000,
-) -> BasePrechargePolicy:
-    """Build a precharge policy from its short name (deprecation shim).
-
-    Prefer ``PolicySpec(name, params).build()``, which passes arbitrary
-    parameters through to the registered factory.
-
-    Args:
-        name: A registered policy name or alias.
-        threshold: Decay threshold, applied when the policy accepts one.
-        resizable_interval: Accesses per resizing interval, applied when
-            the policy accepts one.
-
-    Raises:
-        ValueError: for an unknown policy name.
-    """
-    return _legacy_spec(name, threshold, resizable_interval).build()
-
-
-def _legacy_spec(
-    name: str,
-    threshold: Optional[int] = None,
-    resizable_interval: Optional[int] = None,
-    warn_dropped: bool = False,
-) -> PolicySpec:
-    """Translate legacy ``(name, threshold)`` arguments into a spec.
-
-    Only parameters the registered factory actually accepts are attached,
-    which mirrors the old factory's behaviour of ignoring the threshold
-    for threshold-less policies.  Unlike the old config, the spec carries
-    no independent threshold field, so an explicit threshold given with a
-    threshold-less policy no longer survives a later policy switch;
-    ``warn_dropped`` surfaces that case.
-    """
-    info = get_policy_info(name)
-    params: Dict[str, Any] = {}
-    if threshold is not None:
-        if "threshold" in info.defaults:
-            params["threshold"] = threshold
-        elif warn_dropped:
-            warnings.warn(
-                f"policy {info.name!r} takes no threshold; the explicit "
-                f"threshold {threshold} is discarded (pass a PolicySpec to "
-                "the policy that should receive it instead)",
-                FutureWarning,
-                stacklevel=3,
-            )
-    if resizable_interval is not None and "interval_accesses" in info.defaults:
-        params["interval_accesses"] = resizable_interval
-    return PolicySpec(info.name, params)
-
-
-def _coerce_spec(value: Union[PolicySpec, str, Mapping[str, Any]]) -> PolicySpec:
-    """Accept a spec, a bare policy name, or a ``to_dict`` mapping."""
+def _coerce_spec(value: Union[PolicySpec, str]) -> PolicySpec:
+    """Accept a spec or a bare registered policy name."""
     if isinstance(value, PolicySpec):
         return value
     if isinstance(value, str):
         return PolicySpec(value)
-    if isinstance(value, Mapping):
-        return PolicySpec.from_dict(value)
     raise TypeError(f"cannot interpret {value!r} as a PolicySpec")
 
 
@@ -168,34 +99,6 @@ class SimulationConfig:
         object.__setattr__(self, "l2", _coerce_spec(self.l2))
 
     # ------------------------------------------------------------------
-    # Deprecated string accessors (kept for the pre-registry API)
-    # ------------------------------------------------------------------
-    @property
-    def dcache_policy(self) -> str:
-        """Deprecated: the data-cache policy name (use ``dcache.name``)."""
-        return self.dcache.name
-
-    @property
-    def icache_policy(self) -> str:
-        """Deprecated: the instruction-cache policy name (use ``icache.name``)."""
-        return self.icache.name
-
-    @property
-    def dcache_threshold(self) -> int:
-        """Deprecated: the data-cache decay threshold (use ``dcache.get``)."""
-        return self.dcache.get("threshold", DEFAULT_THRESHOLD)
-
-    @property
-    def icache_threshold(self) -> int:
-        """Deprecated: the instruction-cache decay threshold (use ``icache.get``)."""
-        return self.icache.get("threshold", DEFAULT_THRESHOLD)
-
-    @property
-    def l2_policy(self) -> str:
-        """The L2 policy name (symmetric with the deprecated L1 accessors)."""
-        return self.l2.name
-
-    # ------------------------------------------------------------------
     def hierarchy_config(self) -> HierarchyConfig:
         """The memory-hierarchy sizing for this run."""
         return HierarchyConfig(
@@ -203,18 +106,6 @@ class SimulationConfig:
             subarray_bytes=self.subarray_bytes,
             l2_subarray_bytes=self.l2_subarray_bytes,
         )
-
-    def dcache_controller(self) -> BasePrechargePolicy:
-        """Instantiate the data-cache precharge policy."""
-        return self.dcache.build()
-
-    def icache_controller(self) -> BasePrechargePolicy:
-        """Instantiate the instruction-cache precharge policy."""
-        return self.icache.build()
-
-    def l2_controller(self) -> BasePrechargePolicy:
-        """Instantiate the unified L2 cache's precharge policy."""
-        return self.l2.build()
 
     def pipeline_config(self) -> PipelineConfig:
         """Pipeline configuration, with policy-declared latency folded in.
@@ -229,28 +120,6 @@ class SimulationConfig:
         if extra and self.pipeline.speculative_extra_latency == 0:
             return replace(self.pipeline, speculative_extra_latency=extra)
         return self.pipeline
-
-    def with_policies(
-        self,
-        dcache: Union[PolicySpec, str],
-        icache: Union[PolicySpec, str],
-        l2: Union[PolicySpec, str, None] = None,
-    ) -> "SimulationConfig":
-        """A copy of this configuration with different precharge policies.
-
-        Bare names keep the current thresholds when the new policy accepts
-        one (matching the old string-field behaviour); specs are taken
-        verbatim.  ``l2`` is optional: ``None`` keeps the current L2 spec.
-        """
-        if isinstance(dcache, str):
-            dcache = _legacy_spec(dcache, self.dcache.get("threshold"))
-        if isinstance(icache, str):
-            icache = _legacy_spec(icache, self.icache.get("threshold"))
-        if l2 is None:
-            l2 = self.l2
-        elif isinstance(l2, str):
-            l2 = _legacy_spec(l2, self.l2.get("threshold"))
-        return replace(self, dcache=dcache, icache=icache, l2=l2)
 
     # ------------------------------------------------------------------
     def _l2_is_default(self) -> bool:
@@ -341,65 +210,3 @@ class SimulationConfig:
             l2=_default_static_spec() if l2 is None else PolicySpec.from_dict(l2),
             l2_subarray_bytes=data.get("l2_subarray_bytes"),
         )
-
-
-# ----------------------------------------------------------------------
-# Deprecated keyword shim: SimulationConfig(dcache_policy="gated",
-# dcache_threshold=150, ...) keeps working by translating the legacy
-# string/threshold keywords into PolicySpec fields before the generated
-# dataclass __init__ runs.
-# ----------------------------------------------------------------------
-_GENERATED_INIT = SimulationConfig.__init__
-
-
-def _compat_init(
-    self,
-    *args,
-    dcache_policy: Optional[str] = None,
-    icache_policy: Optional[str] = None,
-    dcache_threshold: Optional[int] = None,
-    icache_threshold: Optional[int] = None,
-    l2_policy: Optional[str] = None,
-    l2_threshold: Optional[int] = None,
-    **kwargs,
-) -> None:
-    if len(args) > 1:
-        # The field order changed when the loose threshold fields became
-        # specs; silently reinterpreting old positional calls would run
-        # the wrong simulation, so require keywords beyond the benchmark.
-        raise TypeError(
-            "SimulationConfig takes at most one positional argument "
-            "(benchmark); pass the remaining fields by keyword"
-        )
-    if dcache_policy is not None or dcache_threshold is not None:
-        if "dcache" in kwargs:
-            raise TypeError(
-                "pass either dcache=PolicySpec(...) or the deprecated "
-                "dcache_policy/dcache_threshold keywords, not both"
-            )
-        kwargs["dcache"] = _legacy_spec(
-            dcache_policy or "static", dcache_threshold, warn_dropped=True
-        )
-    if icache_policy is not None or icache_threshold is not None:
-        if "icache" in kwargs:
-            raise TypeError(
-                "pass either icache=PolicySpec(...) or the deprecated "
-                "icache_policy/icache_threshold keywords, not both"
-            )
-        kwargs["icache"] = _legacy_spec(
-            icache_policy or "static", icache_threshold, warn_dropped=True
-        )
-    if l2_policy is not None or l2_threshold is not None:
-        if "l2" in kwargs:
-            raise TypeError(
-                "pass either l2=PolicySpec(...) or the l2_policy/"
-                "l2_threshold string keywords, not both"
-            )
-        kwargs["l2"] = _legacy_spec(
-            l2_policy or "static", l2_threshold, warn_dropped=True
-        )
-    _GENERATED_INIT(self, *args, **kwargs)
-
-
-_compat_init.__wrapped__ = _GENERATED_INIT
-SimulationConfig.__init__ = _compat_init

@@ -18,9 +18,8 @@ an object:
   runs are independent and seeded, so parallel results are bit-identical
   to serial ones.
 
-The module-level :func:`repro.sim.runner.run_simulation` is a thin shim
-over :func:`default_engine`, so existing call sites keep the memoisation
-behaviour they had.
+Callers (the CLI, the service, tests) construct the engine they run on
+and pass it down; experiment functions that simulate take it first.
 """
 
 from __future__ import annotations
@@ -57,7 +56,6 @@ from .store import ResultStore
 __all__ = [
     "RunCancelled",
     "SimEngine",
-    "default_engine",
     "execute_run",
     "execute_run_fast",
 ]
@@ -86,9 +84,9 @@ def execute_run(config: SimulationConfig) -> RunResult:
     workload = make_workload(config.benchmark, seed=config.seed)
     hierarchy = MemoryHierarchy(
         config=config.hierarchy_config(),
-        icache_controller=config.icache_controller(),
-        dcache_controller=config.dcache_controller(),
-        l2_controller=config.l2_controller(),
+        icache_controller=config.icache.build(),
+        dcache_controller=config.dcache.build(),
+        l2_controller=config.l2.build(),
     )
     pipeline = OutOfOrderPipeline(
         hierarchy=hierarchy,
@@ -388,7 +386,7 @@ class SimEngine:
 
     def __bool__(self) -> bool:
         # An engine with an empty cache is still an engine: never let
-        # truthiness defaulting (``engine or default_engine()``) swap in
+        # truthiness defaulting (``engine or SimEngine()``) swap in
         # the wrong instance.
         return True
 
@@ -769,26 +767,3 @@ class SimEngine:
         configs = [replace(base_config, benchmark=name) for name in names]
         results = self.run_many(configs, workers=workers, fast=fast)
         return dict(zip(names, results))
-
-    def select_thresholds(self, benchmark: str, base_config: SimulationConfig, **kwargs):
-        """Profile-based per-benchmark threshold selection (Section 6.4).
-
-        Delegates to :func:`repro.sim.sweep.select_benchmark_thresholds`
-        with this engine supplying the profiling run.
-        """
-        from .sweep import select_benchmark_thresholds
-
-        return select_benchmark_thresholds(benchmark, base_config, engine=self, **kwargs)
-
-
-_DEFAULT_ENGINE: Optional[SimEngine] = None
-_DEFAULT_ENGINE_LOCK = threading.Lock()
-
-
-def default_engine() -> SimEngine:
-    """The process-wide engine behind the module-level convenience API."""
-    global _DEFAULT_ENGINE
-    with _DEFAULT_ENGINE_LOCK:
-        if _DEFAULT_ENGINE is None:
-            _DEFAULT_ENGINE = SimEngine()
-        return _DEFAULT_ENGINE

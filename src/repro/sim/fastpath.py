@@ -1638,7 +1638,7 @@ def execute_run_fast(config: SimulationConfig) -> RunResult:
     l2 = _FastCache(
         organization=hierarchy_config.l2_organization(),
         name="L2",
-        controller=config.l2_controller(),
+        controller=config.l2.build(),
         next_level=memory,
         mshr_entries=hierarchy_config.mshr_entries,
         base_latency=hierarchy_config.l2_latency,
@@ -1646,7 +1646,7 @@ def execute_run_fast(config: SimulationConfig) -> RunResult:
     l1i = _FastCache(
         organization=hierarchy_config.l1i_organization(),
         name="L1I",
-        controller=config.icache_controller(),
+        controller=config.icache.build(),
         next_level=l2,
         mshr_entries=hierarchy_config.mshr_entries,
         base_latency=hierarchy_config.l1i_latency,
@@ -1654,7 +1654,7 @@ def execute_run_fast(config: SimulationConfig) -> RunResult:
     l1d = _FastCache(
         organization=hierarchy_config.l1d_organization(),
         name="L1D",
-        controller=config.dcache_controller(),
+        controller=config.dcache.build(),
         next_level=l2,
         mshr_entries=hierarchy_config.mshr_entries,
         base_latency=hierarchy_config.l1d_latency,

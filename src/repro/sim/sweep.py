@@ -1,20 +1,15 @@
-"""Parameter sweeps and profiling-based threshold selection.
+"""Profiling-based threshold selection (Section 6.4).
 
-Helpers shared by the experiment modules:
-
-* run a set of benchmarks under a policy pair and aggregate results
-  (these are thin wrappers over :meth:`repro.sim.engine.SimEngine.sweep`,
-  which handles caching, persistence and parallel fan-out);
-* find the per-benchmark optimum gated-precharging threshold (Section 6.4)
-  by profiling a baseline run's subarray gap distribution and picking the
-  most aggressive threshold whose estimated slowdown stays within the 1%
-  budget, then optionally validating with a full timing run.
+Finds the per-benchmark optimum gated-precharging threshold by profiling
+a baseline run's subarray gap distribution and picking the most
+aggressive threshold whose estimated slowdown stays within the 1%
+budget.  Benchmark sweeps are :meth:`repro.sim.engine.SimEngine.sweep`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Dict, Iterable, Optional, Sequence
+from typing import Iterable
 
 from repro.core.registry import PolicySpec
 from repro.core.threshold import (
@@ -25,11 +20,9 @@ from repro.core.threshold import (
 )
 
 from .config import SimulationConfig
-from .engine import SimEngine, default_engine
-from .metrics import RunResult
+from .engine import SimEngine
 
 __all__ = [
-    "sweep_benchmarks",
     "select_benchmark_thresholds",
     "BenchmarkThresholds",
     "DCACHE_REPLAY_FACTOR",
@@ -57,38 +50,13 @@ class BenchmarkThresholds:
     icache_threshold: int
 
 
-def sweep_benchmarks(
-    base_config: SimulationConfig,
-    benchmarks: Optional[Sequence[str]] = None,
-    engine: Optional[SimEngine] = None,
-    workers: Optional[int] = None,
-    fast: Optional[bool] = None,
-) -> Dict[str, RunResult]:
-    """Run ``base_config`` for every benchmark in ``benchmarks``.
-
-    Args:
-        base_config: Template configuration; only the benchmark name is
-            substituted.
-        benchmarks: Benchmark names; defaults to all sixteen.
-        engine: Engine to run on; defaults to the process-wide engine.
-        workers: Worker processes; defaults to the engine's setting.
-        fast: Execution-path override (batched fast kernel vs reference
-            loop); defaults to the engine's setting.
-
-    Returns:
-        Mapping from benchmark name to its :class:`RunResult`.
-    """
-    engine = default_engine() if engine is None else engine
-    return engine.sweep(base_config, benchmarks=benchmarks, workers=workers, fast=fast)
-
-
 def select_benchmark_thresholds(
+    engine: SimEngine,
     benchmark: str,
     base_config: SimulationConfig,
     budget: float = PERFORMANCE_BUDGET,
     candidates: Iterable[int] = CANDIDATE_THRESHOLDS,
     predecode_coverage: float = 0.7,
-    engine: Optional[SimEngine] = None,
 ) -> BenchmarkThresholds:
     """Find the per-benchmark optimum thresholds from a profiling run.
 
@@ -98,6 +66,7 @@ def select_benchmark_thresholds(
     inter-access gap distribution.
 
     Args:
+        engine: Engine that runs the profiling simulation.
         benchmark: Benchmark to profile.
         base_config: Template configuration (its policies are ignored; the
             profile always comes from a static pull-up run).
@@ -106,9 +75,7 @@ def select_benchmark_thresholds(
         predecode_coverage: Fraction of delayed data-cache accesses hidden
             by predecoding (Section 6.3 measures ~80% accuracy on 1KB
             subarrays; a portion of that is in time to help).
-        engine: Engine to run on; defaults to the process-wide engine.
     """
-    engine = default_engine() if engine is None else engine
     profile_config = replace(
         base_config,
         benchmark=benchmark,

@@ -9,7 +9,7 @@ import pytest
 from repro.cache.energy_accounting import EnergyLedger
 from repro.circuits.cacti import CacheOrganization, cache_organization
 from repro.circuits.technology import get_technology
-from repro.sim import SimulationConfig, run_simulation
+from repro.sim import PolicySpec, SimEngine, SimulationConfig
 
 
 @pytest.fixture(scope="session", autouse=True)
@@ -61,26 +61,33 @@ def make_attached(policy, org=None):
 
 
 @pytest.fixture(scope="session")
-def small_baseline_run():
-    """A short static-pull-up run of gcc shared by integration-style tests."""
-    config = SimulationConfig(
-        benchmark="gcc",
-        dcache_policy="static",
-        icache_policy="static",
-        feature_size_nm=70,
-        n_instructions=6_000,
-    )
-    return run_simulation(config)
+def engine():
+    """One memoising engine for the whole session, so tests share runs."""
+    with SimEngine() as shared:
+        yield shared
 
 
 @pytest.fixture(scope="session")
-def small_gated_run():
-    """A short gated-precharging run of gcc shared by integration-style tests."""
+def small_baseline_run(engine):
+    """A short static-pull-up run of gcc shared by integration-style tests."""
     config = SimulationConfig(
         benchmark="gcc",
-        dcache_policy="gated-predecode",
-        icache_policy="gated",
+        dcache=PolicySpec("static"),
+        icache=PolicySpec("static"),
         feature_size_nm=70,
         n_instructions=6_000,
     )
-    return run_simulation(config)
+    return engine.run(config)
+
+
+@pytest.fixture(scope="session")
+def small_gated_run(engine):
+    """A short gated-precharging run of gcc shared by integration-style tests."""
+    config = SimulationConfig(
+        benchmark="gcc",
+        dcache=PolicySpec("gated-predecode"),
+        icache=PolicySpec("gated"),
+        feature_size_nm=70,
+        n_instructions=6_000,
+    )
+    return engine.run(config)

@@ -133,8 +133,8 @@ class TestThirdPartyRegistration:
             icache=PolicySpec("static"),
             n_instructions=1_500,
         )
-        assert isinstance(config.dcache_controller(), ExternalHoldPolicy)
-        assert config.dcache_controller().hold_fraction == 0.5
+        assert isinstance(config.dcache.build(), ExternalHoldPolicy)
+        assert config.dcache.build().hold_fraction == 0.5
 
         engine = SimEngine()
         result = engine.run(config)
@@ -150,13 +150,12 @@ class TestThirdPartyRegistration:
         )
         assert other.cache_key() != config.cache_key()
 
-    def test_legacy_string_fields_also_reach_external_policy(self, external_policy):
-        config = SimulationConfig(dcache_policy=external_policy, n_instructions=1_000)
-        assert isinstance(config.dcache_controller(), ExternalHoldPolicy)
-
-    def test_unregistered_name_fails_at_config_time(self):
-        with pytest.raises(ValueError):
-            SimulationConfig(dcache_policy="never-registered")
+    def test_unregistered_name_fails_before_run(self, engine):
+        config = SimulationConfig(dcache=PolicySpec("never-registered"))
+        with pytest.raises(ValueError, match="never-registered.*choose from"):
+            config.cache_key()
+        with pytest.raises(ValueError, match="never-registered.*choose from"):
+            engine.run(config)
 
     def test_shadowing_registration_does_not_inherit_aliases(self):
         register_policy("shadow-target", aliases=("shadow-alias",))(ExternalHoldPolicy)
@@ -187,23 +186,9 @@ class TestThirdPartyRegistration:
         with pytest.raises(ValueError, match="collides"):
             register_policy("thief", aliases=("ondemand",))(ExternalHoldPolicy)
 
-    def test_multi_positional_construction_rejected(self):
-        # The old field order had thresholds where n_instructions/seed now
-        # sit; silent reinterpretation would run the wrong simulation.
-        with pytest.raises(TypeError, match="positional"):
-            SimulationConfig("gcc", "static", "static")
-        assert SimulationConfig("gcc").benchmark == "gcc"
-
     def test_unregister_accepts_aliases(self):
         register_policy("tmp-pol", aliases=("tmp-alias",))(ExternalHoldPolicy)
         unregister_policy("tmp-alias")
         assert "tmp-pol" not in policy_names()
         with pytest.raises(ValueError):
             get_policy_info("tmp-alias")
-
-    def test_legacy_threshold_dropped_with_warning(self):
-        with pytest.warns(FutureWarning, match="takes no threshold"):
-            config = SimulationConfig(dcache_policy="static", dcache_threshold=150)
-        # The spec carries no threshold; the accessor reports the default.
-        assert config.dcache.get("threshold") is None
-        assert config.dcache_threshold == 100

@@ -97,22 +97,22 @@ class TestCircuitFigures:
 
 
 class TestArchitecturalExperiments:
-    def test_figure3_oracle_saves_most_discharge(self):
-        result = figure3(benchmarks=FAST_BENCHMARKS, n_instructions=FAST_INSTRUCTIONS)
+    def test_figure3_oracle_saves_most_discharge(self, engine):
+        result = figure3(engine, benchmarks=FAST_BENCHMARKS, n_instructions=FAST_INSTRUCTIONS)
         assert result.average_discharge_savings_dcache > 0.6
         assert result.average_discharge_savings_icache > 0.6
         assert "AVG" in format_figure3(result)
 
-    def test_ondemand_slowdown_positive_for_both_caches(self):
+    def test_ondemand_slowdown_positive_for_both_caches(self, engine):
         result = ondemand_slowdown(
-            benchmarks=FAST_BENCHMARKS, n_instructions=FAST_INSTRUCTIONS
+            engine, benchmarks=FAST_BENCHMARKS, n_instructions=FAST_INSTRUCTIONS
         )
         assert result.average_dcache_slowdown > 0
         assert result.average_icache_slowdown > 0
         assert "Section 5" in format_ondemand(result)
 
-    def test_figure5_cumulative_distributions_monotone(self):
-        result = figure5(benchmarks=FAST_BENCHMARKS, n_instructions=FAST_INSTRUCTIONS)
+    def test_figure5_cumulative_distributions_monotone(self, engine):
+        result = figure5(engine, benchmarks=FAST_BENCHMARKS, n_instructions=FAST_INSTRUCTIONS)
         for table in (result.dcache, result.icache):
             for series in table.values():
                 values = [series[t] for t in sorted(series)]
@@ -134,25 +134,27 @@ class TestArchitecturalExperiments:
         assert 0.4 < result.average_accuracy(1024) <= 1.0
         assert "Predecoding" in format_predecode_accuracy(result)
 
-    def test_figure8_gated_results(self):
-        result = figure8(benchmarks=FAST_BENCHMARKS, n_instructions=FAST_INSTRUCTIONS)
+    def test_figure8_gated_results(self, engine):
+        result = figure8(engine, benchmarks=FAST_BENCHMARKS, n_instructions=FAST_INSTRUCTIONS)
         assert result.average_dcache_discharge_reduction > 0.5
         assert result.average_icache_discharge_reduction > 0.7
         assert result.average_dcache_precharged < 0.4
         assert abs(result.average_slowdown) < 0.05
         assert "Figure 8" in format_figure8(result)
 
-    def test_figure9_gated_beats_resizable_at_70nm(self):
+    def test_figure9_gated_beats_resizable_at_70nm(self, engine):
         result = figure9(
-            benchmarks=FAST_BENCHMARKS, nodes=[180, 70], n_instructions=FAST_INSTRUCTIONS
+            engine, benchmarks=FAST_BENCHMARKS, nodes=[180, 70],
+            n_instructions=FAST_INSTRUCTIONS,
         )
         assert result.gated_beats_resizable_at(70)
         # Gated precharging improves toward 70nm; resizable stays flat-ish.
         assert result.gated_dcache[70] < result.gated_dcache[180]
         assert "Figure 9" in format_figure9(result)
 
-    def test_figure10_smaller_subarrays_precharge_fewer(self):
+    def test_figure10_smaller_subarrays_precharge_fewer(self, engine):
         result = figure10(
+            engine,
             benchmarks=FAST_BENCHMARKS,
             subarray_sizes=(4096, 1024, 256),
             n_instructions=FAST_INSTRUCTIONS,

@@ -2,39 +2,46 @@
 
 These use short runs on a subset of benchmarks, so they verify the *shape*
 of the published results (who wins, in which direction, roughly by how
-much), not the exact percentages — those are recorded in EXPERIMENTS.md by
-the full benchmark harness.
+much), not the exact percentages — those are pinned by the golden
+snapshots in tests/experiments/goldens/, which ``python -m repro
+regen-goldens`` writes and CI diffs.
 """
 
 import pytest
 
-from repro.sim import SimulationConfig, run_simulation, slowdown
+from repro.sim import SimulationConfig, slowdown
 
 N_INSTRUCTIONS = 6_000
 BENCH = "gcc"
 
 
-def run(dcache, icache, **kwargs):
-    config = SimulationConfig(
-        benchmark=kwargs.pop("benchmark", BENCH),
-        dcache_policy=dcache,
-        icache_policy=icache,
-        feature_size_nm=kwargs.pop("feature_size_nm", 70),
-        n_instructions=kwargs.pop("n_instructions", N_INSTRUCTIONS),
-        **kwargs,
-    )
-    return run_simulation(config)
+@pytest.fixture()
+def run(engine):
+    """Run one configuration, named by its L1 policies, on the session engine."""
+
+    def run_policies(dcache, icache, **kwargs):
+        config = SimulationConfig(
+            benchmark=kwargs.pop("benchmark", BENCH),
+            dcache=dcache,
+            icache=icache,
+            feature_size_nm=kwargs.pop("feature_size_nm", 70),
+            n_instructions=kwargs.pop("n_instructions", N_INSTRUCTIONS),
+            **kwargs,
+        )
+        return engine.run(config)
+
+    return run_policies
 
 
 class TestClaimOraclePotential:
     """Section 4: bitline isolation can remove the vast majority of discharge."""
 
-    def test_oracle_removes_most_discharge_at_70nm(self, small_baseline_run):
+    def test_oracle_removes_most_discharge_at_70nm(self, run, small_baseline_run):
         oracle = run("oracle", "oracle")
         assert oracle.energy.dcache_discharge_savings > 0.7
         assert oracle.energy.icache_discharge_savings > 0.8
 
-    def test_oracle_has_no_performance_cost(self, small_baseline_run):
+    def test_oracle_has_no_performance_cost(self, run, small_baseline_run):
         oracle = run("oracle", "oracle")
         assert abs(slowdown(oracle, small_baseline_run)) < 0.01
 
@@ -42,11 +49,11 @@ class TestClaimOraclePotential:
 class TestClaimOnDemandNotViable:
     """Section 5: on-demand precharging delays accesses and costs performance."""
 
-    def test_on_demand_slower_than_baseline(self, small_baseline_run):
+    def test_on_demand_slower_than_baseline(self, run, small_baseline_run):
         ondemand = run("on-demand", "on-demand")
         assert slowdown(ondemand, small_baseline_run) > 0.005
 
-    def test_on_demand_delays_every_cache_access(self):
+    def test_on_demand_delays_every_cache_access(self, run):
         ondemand = run("on-demand", "static")
         assert ondemand.dcache_delayed_accesses == ondemand.dcache_accesses
 
@@ -54,7 +61,7 @@ class TestClaimOnDemandNotViable:
 class TestClaimGatedNearOptimal:
     """Section 6: gated precharging captures most of the potential at ~1% cost."""
 
-    def test_gated_close_to_oracle_savings(self, small_gated_run):
+    def test_gated_close_to_oracle_savings(self, run, small_gated_run):
         oracle = run("oracle", "oracle")
         gated_savings = small_gated_run.energy.icache_discharge_savings
         oracle_savings = oracle.energy.icache_discharge_savings
@@ -63,7 +70,7 @@ class TestClaimGatedNearOptimal:
     def test_gated_slowdown_stays_small(self, small_baseline_run, small_gated_run):
         assert slowdown(small_gated_run, small_baseline_run) < 0.03
 
-    def test_gated_delays_far_fewer_accesses_than_on_demand(self, small_gated_run):
+    def test_gated_delays_far_fewer_accesses_than_on_demand(self, run, small_gated_run):
         ondemand = run("on-demand", "static")
         assert small_gated_run.dcache_delayed_accesses < 0.2 * ondemand.dcache_delayed_accesses
 
@@ -82,12 +89,12 @@ class TestClaimGatedNearOptimal:
 class TestClaimTechnologyScaling:
     """Figures 2 and 9: isolation only becomes worthwhile in nanoscale nodes."""
 
-    def test_gated_savings_improve_from_180nm_to_70nm(self):
+    def test_gated_savings_improve_from_180nm_to_70nm(self, run):
         old = run("gated-predecode", "gated", feature_size_nm=180)
         new = run("gated-predecode", "gated", feature_size_nm=70)
         assert new.energy.dcache_relative_discharge < old.energy.dcache_relative_discharge
 
-    def test_gated_beats_resizable_at_70nm(self):
+    def test_gated_beats_resizable_at_70nm(self, run):
         gated = run("gated-predecode", "gated")
         resizable = run("resizable", "resizable")
         assert (
@@ -103,7 +110,7 @@ class TestClaimTechnologyScaling:
 class TestClaimHighMissOutliers:
     """ammp/art/health thrash the L1, so aggressive isolation costs them little."""
 
-    def test_art_has_much_higher_miss_ratio_than_mesa(self):
+    def test_art_has_much_higher_miss_ratio_than_mesa(self, run):
         # Short runs are dominated by compulsory misses for both programs, so
         # the gap here is smaller than in steady state; art must still miss
         # clearly more often and at an outright high rate.
@@ -112,7 +119,7 @@ class TestClaimHighMissOutliers:
         assert art.dcache_miss_ratio > 1.3 * mesa.dcache_miss_ratio
         assert art.dcache_miss_ratio > 0.4
 
-    def test_gated_still_safe_on_a_thrashing_benchmark(self):
+    def test_gated_still_safe_on_a_thrashing_benchmark(self, run):
         baseline = run("static", "static", benchmark="art", n_instructions=4_000)
         gated = run("gated-predecode", "gated", benchmark="art", n_instructions=4_000)
         assert slowdown(gated, baseline) < 0.03

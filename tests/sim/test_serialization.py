@@ -128,15 +128,13 @@ class TestL2BackwardCompatibility:
         assert rebuilt.energy.l2 is None
         assert rebuilt.energy.l2_relative_discharge == 1.0
 
-    def test_l2_fields_round_trip_exactly(self):
-        from repro.sim import run_simulation
-
+    def test_l2_fields_round_trip_exactly(self, engine):
         config = SimulationConfig(
             benchmark="gcc",
             l2=PolicySpec("gated", {"threshold": 500}),
             n_instructions=3_000,
         )
-        result = run_simulation(config)
+        result = engine.run(config)
         rebuilt = RunResult.from_json(result.to_json())
         assert rebuilt == result
         assert rebuilt.l2_policy == "gated"

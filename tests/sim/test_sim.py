@@ -1,4 +1,4 @@
-"""Tests for the simulation configuration, runner, metrics and sweeps."""
+"""Tests for the simulation configuration, engine runs, metrics and sweeps."""
 
 import pytest
 
@@ -9,16 +9,14 @@ from repro.core import (
     ResizableCachePolicy,
     StaticPullUpPolicy,
 )
+from repro.core.registry import policy_names
 from repro.sim import (
-    POLICY_NAMES,
+    PolicySpec,
     SimulationConfig,
     arithmetic_mean,
     geometric_mean,
-    make_policy,
-    run_simulation,
     select_benchmark_thresholds,
     slowdown,
-    sweep_benchmarks,
 )
 
 
@@ -35,22 +33,22 @@ class TestPolicyFactory:
         ],
     )
     def test_every_published_policy_is_constructible(self, name, cls):
-        assert isinstance(make_policy(name), cls)
+        assert isinstance(PolicySpec(name).build(), cls)
 
     def test_gated_predecode_enables_predecoding(self):
-        assert make_policy("gated-predecode").use_predecode
-        assert not make_policy("gated").use_predecode
+        assert PolicySpec("gated-predecode").build().use_predecode
+        assert not PolicySpec("gated").build().use_predecode
 
     def test_threshold_passed_through(self):
-        assert make_policy("gated", threshold=250).threshold == 250
+        assert PolicySpec("gated", {"threshold": 250}).build().threshold == 250
 
     def test_unknown_policy_rejected(self):
         with pytest.raises(ValueError):
-            make_policy("drowsy")
+            PolicySpec("drowsy").build()
 
     def test_all_policy_names_listed(self):
-        for name in POLICY_NAMES:
-            make_policy(name)
+        for name in policy_names():
+            PolicySpec(name).build()
 
 
 class TestSimulationConfig:
@@ -63,17 +61,20 @@ class TestSimulationConfig:
         assert hierarchy.l1i_latency == 2 and hierarchy.l1d_latency == 3
 
     def test_on_demand_folds_known_latency_into_speculation(self):
-        ondemand = SimulationConfig(dcache_policy="on-demand")
-        static = SimulationConfig(dcache_policy="static")
+        ondemand = SimulationConfig(dcache=PolicySpec("on-demand"))
+        static = SimulationConfig(dcache=PolicySpec("static"))
         assert ondemand.pipeline_config().speculative_extra_latency == 1
         assert static.pipeline_config().speculative_extra_latency == 0
 
-    def test_with_policies_returns_modified_copy(self):
-        base = SimulationConfig(benchmark="gcc")
-        other = base.with_policies("oracle", "oracle")
-        assert other.dcache_policy == "oracle"
-        assert base.dcache_policy == "static"
-        assert other.benchmark == "gcc"
+    def test_only_dataclass_fields_are_accepted(self):
+        # Only the dataclass fields are settable, and a policy is a spec
+        # or a bare registered name (shorthand for a parameterless spec).
+        with pytest.raises(TypeError):
+            SimulationConfig(dcache_policy="gated")
+        with pytest.raises(TypeError):
+            SimulationConfig(dcache={"name": "gated"})
+        assert SimulationConfig(dcache="gated").dcache == PolicySpec("gated")
+        assert SimulationConfig("gcc").benchmark == "gcc"
 
 
 class TestRunner:
@@ -86,12 +87,12 @@ class TestRunner:
         assert result.icache_accesses > 0
         assert result.energy.dcache_relative_discharge == pytest.approx(1.0)
 
-    def test_run_cache_returns_same_object(self, small_baseline_run):
+    def test_run_cache_returns_same_object(self, engine, small_baseline_run):
         config = SimulationConfig(
-            benchmark="gcc", dcache_policy="static", icache_policy="static",
+            benchmark="gcc", dcache=PolicySpec("static"), icache=PolicySpec("static"),
             feature_size_nm=70, n_instructions=6_000,
         )
-        assert run_simulation(config) is small_baseline_run
+        assert engine.run(config) is small_baseline_run
 
     def test_gated_run_saves_discharge_with_small_slowdown(
         self, small_baseline_run, small_gated_run
@@ -106,8 +107,8 @@ class TestRunner:
 
 
 class TestMetrics:
-    def test_slowdown_requires_same_benchmark(self, small_baseline_run):
-        other = run_simulation(
+    def test_slowdown_requires_same_benchmark(self, engine, small_baseline_run):
+        other = engine.run(
             SimulationConfig(benchmark="mesa", n_instructions=3_000)
         )
         with pytest.raises(ValueError):
@@ -127,15 +128,15 @@ class TestMetrics:
 
 
 class TestSweeps:
-    def test_sweep_runs_requested_benchmarks(self):
+    def test_sweep_runs_requested_benchmarks(self, engine):
         base = SimulationConfig(n_instructions=3_000)
-        results = sweep_benchmarks(base, benchmarks=["gcc", "treeadd"])
+        results = engine.sweep(base, benchmarks=["gcc", "treeadd"])
         assert set(results) == {"gcc", "treeadd"}
         assert all(r.cycles > 0 for r in results.values())
 
-    def test_threshold_selection_returns_candidate_values(self):
+    def test_threshold_selection_returns_candidate_values(self, engine):
         base = SimulationConfig(n_instructions=6_000)
-        thresholds = select_benchmark_thresholds("gcc", base)
+        thresholds = select_benchmark_thresholds(engine, "gcc", base)
         from repro.core.threshold import CANDIDATE_THRESHOLDS
 
         assert thresholds.dcache_threshold in CANDIDATE_THRESHOLDS
