@@ -11,7 +11,7 @@ Three sections:
   a gated L2, timed end-to-end on the reference loop and on the fast
   path, serially, with a result-equality check.  The fast path is timed
   twice: *cold* (in-memory and on-disk trace caches cleared — every
-  trace compiled from its generator) and *warm* (on-disk ``.npz`` trace
+  trace compiled from its generator) and *warm* (on-disk trace
   cache populated — the steady state any second invocation enjoys).
 * ``l2_grid`` — a benchmark x L2-policy grid timed one run at a time.
   The in-memory trace cache is cleared per benchmark; the on-disk cache
@@ -115,7 +115,7 @@ def _time_sweep(instructions: int, repeats: int, echo) -> dict:
         fast_cold = SimEngine(fast=True).sweep(base)
         fast_cold_s = min(fast_cold_s, time.perf_counter() - start)
 
-        clear_trace_cache(disk=False)  # warm: traces load from the .npz cache
+        clear_trace_cache(disk=False)  # warm: traces load from the disk cache
         start = time.perf_counter()
         fast_warm = SimEngine(fast=True).sweep(base)
         fast_warm_s = min(fast_warm_s, time.perf_counter() - start)

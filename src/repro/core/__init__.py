@@ -17,16 +17,9 @@
   closed while the policy menu stays open);
 * :mod:`~repro.core.threshold` — per-benchmark optimum / constant
   threshold selection;
-* :mod:`~repro.core.decay_counter` — the Figure 7 hardware structure;
 * :mod:`~repro.core.predecode` — base-register subarray prediction.
 """
 
-from .decay_counter import (
-    DEFAULT_COUNTER_BITS,
-    DecayCounter,
-    DecayCounterBank,
-    counter_energy_fraction,
-)
 from .gated import DEFAULT_THRESHOLD, GatedPrechargePolicy
 from .registry import (
     PolicyInfo,
@@ -52,10 +45,6 @@ from .threshold import (
 )
 
 __all__ = [
-    "DEFAULT_COUNTER_BITS",
-    "DecayCounter",
-    "DecayCounterBank",
-    "counter_energy_fraction",
     "DEFAULT_THRESHOLD",
     "GatedPrechargePolicy",
     "OnDemandPrechargePolicy",

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 from typing import Optional
 
-from .decay_counter import DEFAULT_COUNTER_BITS, DecayCounterBank
 from .policies import BasePrechargePolicy
 from .registry import register_policy
 from .predecode import Predecoder
@@ -106,36 +105,10 @@ class GatedPrechargePolicy(BasePrechargePolicy):
         self._account_gated_interval(subarray, remaining_cycles, self.threshold)
 
     def _is_precharged(self, subarray: int, cycle: int) -> bool:
+        """The Figure 7 decay counter, evaluated lazily from the last access."""
         last = self._last_access[subarray]
         reference = 0 if last is None else last
         return (cycle - reference) < self.threshold
-
-    # ------------------------------------------------------------------
-    def counter_bank(self, cycle: int) -> DecayCounterBank:
-        """The Figure 7 counter bank's state at ``cycle``.
-
-        The simulation evaluates decay lazily from last-access cycles;
-        this materialises the equivalent hardware state — every counter
-        ticked once per cycle (batched, saturating) and reset by its
-        subarray's accesses — for inspection and reporting.  Counter
-        width grows beyond the paper's 10 bits when the threshold needs
-        it, so ``is_hot`` always agrees with the lazy evaluation.
-        """
-        self._require_attached()
-        bits = max(DEFAULT_COUNTER_BITS, self.threshold.bit_length())
-        saturation = (1 << bits) - 1
-        values = []
-        for last in self._last_access:
-            start = 0 if last is None else last
-            elapsed = cycle - start
-            values.append(min(max(0, elapsed), saturation))
-        return DecayCounterBank.from_values(
-            values, threshold=self.threshold, bits=bits
-        )
-
-    def precharged_subarrays(self, cycle: int) -> int:
-        """Number of subarrays precharged at ``cycle`` (hot counters)."""
-        return self.counter_bank(cycle).hot_count()
 
     @property
     def misprediction_rate(self) -> float:

@@ -8,7 +8,7 @@ comes from restructuring, not from approximating:
 * the workload's micro-op stream is **compiled once** into flat parallel
   columns (:class:`CompiledTrace`) — integer arrays for op class, PC,
   registers, addresses and branch outcomes — cached in-process per
-  ``(benchmark, seed)`` *and* persisted to an on-disk ``.npz`` trace
+  ``(benchmark, seed)`` *and* persisted to an on-disk trace
   cache (:func:`trace_cache_dir`), so sweeps and worker processes load
   precompiled bytes instead of re-running the workload generators;
 * branch-predictor outcomes are **precomputed at compile time**: the
@@ -42,21 +42,19 @@ retry accounting, per-blocked-cycle dispatch stall counting inside
 skipped quiet regions, ...); the differential test suite pins the
 equality on a policy x benchmark x subarray-size grid.
 
-The columns are plain Python lists in the interpreter's hot loop (list
-indexing beats numpy scalar extraction there); numpy, when available,
-backs the **typed-array persistence**: :meth:`CompiledTrace.column_arrays`
-exports ``int64`` columns, :meth:`CompiledTrace.from_columns` rebuilds a
-trace from arrays or lists, and the ``.npz`` disk cache round-trips them.
-Without numpy everything still works — the disk cache is simply
-disabled and compilation falls back to the pure-Python generators.
+The columns are plain Python lists in the interpreter's hot loop; the
+disk cache stores them as raw stdlib ``array("q")`` bytes, and
+:meth:`CompiledTrace.from_columns` rebuilds a trace from arrays or lists.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import sys
 import tempfile
 import threading
+from array import array
 from bisect import insort
 from collections import deque
 from hashlib import sha256
@@ -64,11 +62,6 @@ from itertools import islice
 from pathlib import Path
 from time import perf_counter as _perf
 from typing import Callable, Dict, Iterator, List, Optional, Tuple
-
-try:  # numpy is optional: it backs typed-array export and the disk cache
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised by the no-numpy CI leg
-    _np = None
 
 from repro.cache.energy_accounting import EnergyBreakdown, EnergyLedger
 from repro.cache.hierarchy import MainMemory
@@ -125,6 +118,9 @@ _COMPILE_CHUNK = 8192
 #: docstring); the rest mirror :class:`~repro.workloads.trace.MicroOp`.
 COLUMN_NAMES = ("kind", "pc", "dest", "src1", "src2", "addr", "base",
                 "taken", "target", "mispred")
+
+#: Compile-time predictor tables, in persistence order.
+_PREDICTOR_TABLES = ("bimodal", "gshare", "chooser")
 
 #: Infinity sentinel for wake-cycle arithmetic.
 _NEVER = 1 << 60
@@ -191,7 +187,7 @@ class CompiledTrace:
 
     A trace is created either from a live stream (``source`` /
     ``source_factory``) or from previously exported columns
-    (:meth:`from_columns`, e.g. loaded from the on-disk ``.npz`` cache).
+    (:meth:`from_columns`, e.g. loaded from the on-disk trace cache).
     A column-built trace that is not exhausted needs a
     ``source_factory`` to extend past its prefix: the factory's stream
     is fast-forwarded to the first unmaterialised row and the
@@ -207,7 +203,7 @@ class CompiledTrace:
         # queue encoding per op, branch/misprediction prefix sums, the
         # positions of fetch-terminating branches, and per-line-size
         # fetch plans.  All are pure functions of the columns above and
-        # are rebuilt (vectorised under numpy) when a trace is loaded.
+        # are rebuilt when a trace is loaded.
         "br_pref", "mp_pref", "terms", "_fetch_plans",
         "_branch_count", "_mispred_count",
     )
@@ -377,7 +373,7 @@ class CompiledTrace:
         )
 
     # ------------------------------------------------------------------
-    # Typed-array export / import (persistence layer)
+    # Column export / import (persistence layer)
     # ------------------------------------------------------------------
     def snapshot(self) -> Tuple[Dict[str, List[int]], Dict[str, object], bool]:
         """A consistent copy of ``(columns, predictor_state, exhausted)``.
@@ -396,14 +392,6 @@ class CompiledTrace:
             }
             return columns, predictor, self.exhausted
 
-    def column_arrays(self) -> Dict[str, "object"]:
-        """The columns as numpy ``int64`` arrays (requires numpy)."""
-        if _np is None:
-            raise RuntimeError("numpy is not available: typed-array export disabled")
-        columns, _, _ = self.snapshot()
-        return {name: _np.asarray(column, dtype=_np.int64)
-                for name, column in columns.items()}
-
     @classmethod
     def from_columns(
         cls,
@@ -413,7 +401,7 @@ class CompiledTrace:
         predictor: Optional[Dict[str, object]] = None,
         source_factory: Optional[Callable[[], Iterator[MicroOp]]] = None,
     ) -> "CompiledTrace":
-        """Rebuild a trace from exported columns (lists or numpy arrays).
+        """Rebuild a trace from exported columns (lists or ``array("q")``).
 
         ``predictor`` restores the compile-time predictor tables; when
         omitted they are rebuilt by replaying the stored branch sequence,
@@ -453,7 +441,7 @@ class CompiledTrace:
 
     def _restore_predictor(self, predictor: Dict[str, object]) -> None:
         table_size = 1 << DEFAULT_TABLE_BITS
-        for field in ("bimodal", "gshare", "chooser"):
+        for field in _PREDICTOR_TABLES:
             table = predictor[field]
             data = table.tolist() if hasattr(table, "tolist") else list(table)
             if len(data) != table_size:
@@ -482,50 +470,32 @@ class CompiledTrace:
     def _rebuild_derived(self) -> None:
         """Recompute the fetch-batching structures from the base columns.
 
-        Used after :meth:`from_columns`; vectorised under numpy (this is
-        where the typed arrays earn their keep on a disk-cache load).
+        Used after :meth:`from_columns`, e.g. on a disk-cache load.
         """
         rows = self.rows
-        if _np is not None and rows > 512:
-            kind_arr = _np.asarray(self.kind, dtype=_np.int64)
-            taken_arr = _np.asarray(self.taken, dtype=_np.int64)
-            mispred_arr = _np.asarray(self.mispred, dtype=_np.int64)
-            is_branch = kind_arr == K_BRANCH
-            br = _np.zeros(rows + 1, dtype=_np.int64)
-            mp = _np.zeros(rows + 1, dtype=_np.int64)
-            _np.cumsum(is_branch, out=br[1:])
-            _np.cumsum(mispred_arr, out=mp[1:])
-            self.br_pref = br.tolist()
-            self.mp_pref = mp.tolist()
-            self.terms = _np.nonzero(
-                is_branch & ((taken_arr != 0) | (mispred_arr != 0))
-            )[0].tolist()
-            self._branch_count = int(br[-1])
-            self._mispred_count = int(mp[-1])
-        else:
-            kind = self.kind
-            taken = self.taken
-            mispred = self.mispred
-            br_pref = [0] * (rows + 1)
-            mp_pref = [0] * (rows + 1)
-            terms: List[int] = []
-            branch_count = 0
-            mispred_count = 0
-            branch_kind = K_BRANCH
-            for index in range(rows):
-                flag = mispred[index]
-                if kind[index] == branch_kind:
-                    branch_count += 1
-                    mispred_count += flag
-                    if flag or taken[index]:
-                        terms.append(index)
-                br_pref[index + 1] = branch_count
-                mp_pref[index + 1] = mispred_count
-            self.br_pref = br_pref
-            self.mp_pref = mp_pref
-            self.terms = terms
-            self._branch_count = branch_count
-            self._mispred_count = mispred_count
+        kind = self.kind
+        taken = self.taken
+        mispred = self.mispred
+        br_pref = [0] * (rows + 1)
+        mp_pref = [0] * (rows + 1)
+        terms: List[int] = []
+        branch_count = 0
+        mispred_count = 0
+        branch_kind = K_BRANCH
+        for index in range(rows):
+            flag = mispred[index]
+            if kind[index] == branch_kind:
+                branch_count += 1
+                mispred_count += flag
+                if flag or taken[index]:
+                    terms.append(index)
+            br_pref[index + 1] = branch_count
+            mp_pref[index + 1] = mispred_count
+        self.br_pref = br_pref
+        self.mp_pref = mp_pref
+        self.terms = terms
+        self._branch_count = branch_count
+        self._mispred_count = mispred_count
         self._fetch_plans = {}
 
     # ------------------------------------------------------------------
@@ -574,12 +544,8 @@ class _FetchPlan:
         if rows <= start:
             return
         bits = self.offset_bits
-        if _np is not None and rows - start > 512:
-            fresh = (_np.asarray(pc[start:rows], dtype=_np.int64) >> bits).tolist()
-        else:
-            fresh = [value >> bits for value in pc[start:rows]]
         lines = self.lines
-        lines.extend(fresh)
+        lines.extend([value >> bits for value in pc[start:rows]])
         run_end = self.run_end
         run_end.extend([0] * (rows - start))
         run_end[rows - 1] = rows
@@ -608,9 +574,10 @@ def compile_workload(benchmark: str, seed: int = 1) -> CompiledTrace:
 # * an in-process LRU of live CompiledTrace objects, so one sweep
 #   compiles each (benchmark, seed) stream once and drives every
 #   policy/technology configuration from the same columns;
-# * an on-disk ``.npz`` store of the exported columns + predictor state,
-#   so *other processes* (parallel sweep workers, later invocations)
-#   load precompiled bytes instead of re-running the generators.
+# * an on-disk store of the exported columns + predictor state (one
+#   raw ``array("q")`` file per key, see :func:`_persist_trace`), so
+#   *other processes* (parallel sweep workers, later invocations) load
+#   precompiled bytes instead of re-running the generators.
 # ----------------------------------------------------------------------
 _TRACE_CACHE: "Dict[Tuple, CompiledTrace]" = {}
 _TRACE_CACHE_LOCK = threading.Lock()
@@ -618,11 +585,11 @@ _TRACE_CACHE_LOCK = threading.Lock()
 #: a complete policy x benchmark cross-product compiles each trace once.
 _TRACE_CACHE_MAX = 24
 
-#: Bump when the stream semantics, column layout or predictor encoding
-#: change: the version participates in the disk filename, so entries
-#: written by other layouts are simply never found (and are removed by
-#: :func:`clear_trace_cache`).
-_DISK_FORMAT_VERSION = 1
+#: Bump when the stream semantics, column layout, predictor encoding or
+#: file format change: the version participates in the disk filename,
+#: so entries written by other layouts are simply never found (and are
+#: removed by :func:`clear_trace_cache`).
+_DISK_FORMAT_VERSION = 2
 
 #: Environment override for the disk cache directory.  An empty value,
 #: ``0``, ``off`` or ``none`` disables on-disk trace caching.
@@ -637,12 +604,8 @@ def trace_cache_dir() -> Optional[Path]:
 
     Resolution order: :func:`set_trace_cache_dir` override, the
     ``REPRO_TRACE_CACHE_DIR`` environment variable, then the user cache
-    directory (``$XDG_CACHE_HOME``/``~/.cache`` ``/repro/traces``).  The
-    cache is also disabled when numpy is unavailable (the format is
-    ``.npz``).
+    directory (``$XDG_CACHE_HOME``/``~/.cache`` ``/repro/traces``).
     """
-    if _np is None:
-        return None
     if _DISK_DIR_OVERRIDE is not _UNSET:
         return _DISK_DIR_OVERRIDE  # type: ignore[return-value]
     env = os.environ.get(_DISK_CACHE_ENV)
@@ -688,7 +651,7 @@ def _disk_path(key: Tuple) -> Optional[Path]:
     if directory is None:
         return None
     digest = sha256(f"v{_DISK_FORMAT_VERSION}|{key!r}".encode("utf-8")).hexdigest()
-    return directory / f"trace-{digest[:40]}.npz"
+    return directory / f"trace-{digest[:40]}.cols"
 
 
 def _load_trace_from_disk(
@@ -701,33 +664,36 @@ def _load_trace_from_disk(
     try:
         if not path.is_file():
             return None
-        with _np.load(path, allow_pickle=False) as payload:
-            meta = json.loads(str(payload["meta"][()]))
-            if meta.get("format") != _DISK_FORMAT_VERSION:
-                raise ValueError("format version mismatch")
-            if meta.get("key") != repr(key):
-                # A (vanishingly unlikely) hash collision, or a file
-                # copied between cache dirs: never serve it.
-                raise ValueError("key mismatch")
-            rows = int(meta["rows"])
-            columns = {}
-            for name in COLUMN_NAMES:
-                column = payload[name]
-                if column.ndim != 1 or len(column) != rows:
-                    raise ValueError(f"column {name!r} has wrong shape")
-                columns[name] = column
-            predictor = {
-                "bimodal": payload["predictor_bimodal"],
-                "gshare": payload["predictor_gshare"],
-                "chooser": payload["predictor_chooser"],
-                "history": int(meta["history"]),
-            }
-            trace = CompiledTrace.from_columns(
-                columns,
-                exhausted=bool(meta["exhausted"]),
-                predictor=predictor,
-                source_factory=source_factory,
-            )
+        with path.open("rb") as stream:
+            meta = json.loads(stream.readline())
+            body = stream.read()
+        if meta.get("format") != _DISK_FORMAT_VERSION:
+            raise ValueError("format version mismatch")
+        if meta.get("key") != repr(key):
+            # A (vanishingly unlikely) hash collision, or a file
+            # copied between cache dirs: never serve it.
+            raise ValueError("key mismatch")
+        if meta.get("byteorder") != sys.byteorder:
+            raise ValueError("byte-order mismatch")
+        rows = int(meta["rows"])
+        table_size = 1 << DEFAULT_TABLE_BITS
+        items = len(COLUMN_NAMES) * rows + len(_PREDICTOR_TABLES) * table_size
+        if len(body) != items * array("q").itemsize:
+            raise ValueError("body length mismatch")
+        values = array("q")
+        values.frombytes(body)
+        columns = {name: values[i * rows:(i + 1) * rows]
+                   for i, name in enumerate(COLUMN_NAMES)}
+        tables = values[len(COLUMN_NAMES) * rows:]
+        predictor = {field: tables[i * table_size:(i + 1) * table_size]
+                     for i, field in enumerate(_PREDICTOR_TABLES)}
+        predictor["history"] = int(meta["history"])
+        trace = CompiledTrace.from_columns(
+            columns,
+            exhausted=bool(meta["exhausted"]),
+            predictor=predictor,
+            source_factory=source_factory,
+        )
     except Exception:
         # Corrupted, truncated, stale or unreadable: the cache must
         # never take a run down — evict the entry and recompile.
@@ -742,9 +708,14 @@ def _load_trace_from_disk(
 
 
 def _persist_trace(trace: CompiledTrace) -> None:
-    """Best-effort save of a trace's materialised prefix to the disk cache."""
+    """Best-effort save of a trace's materialised prefix to the disk cache.
+
+    One file per key: a JSON header line (format, key, rows, exhausted,
+    predictor history, byte order), then the :data:`COLUMN_NAMES`
+    columns and the predictor tables as raw ``array("q")`` bytes.
+    """
     key = trace.disk_key
-    if key is None or _np is None:
+    if key is None:
         return
     if trace.rows <= trace.persisted_rows:
         return
@@ -759,21 +730,20 @@ def _persist_trace(trace: CompiledTrace) -> None:
         "rows": rows,
         "exhausted": exhausted,
         "history": predictor["history"],
+        "byteorder": sys.byteorder,
     }
-    arrays = {name: _np.asarray(column, dtype=_np.int64)
-              for name, column in columns.items()}
-    arrays["predictor_bimodal"] = _np.asarray(predictor["bimodal"], dtype=_np.int64)
-    arrays["predictor_gshare"] = _np.asarray(predictor["gshare"], dtype=_np.int64)
-    arrays["predictor_chooser"] = _np.asarray(predictor["chooser"], dtype=_np.int64)
-    arrays["meta"] = _np.array(json.dumps(meta))
+    sections = [columns[name] for name in COLUMN_NAMES]
+    sections += [predictor[field] for field in _PREDICTOR_TABLES]
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
         handle, temp_name = tempfile.mkstemp(
-            prefix=path.stem + ".", suffix=".tmp.npz", dir=str(path.parent)
+            prefix=path.stem + ".", suffix=".tmp", dir=str(path.parent)
         )
         try:
             with os.fdopen(handle, "wb") as stream:
-                _np.savez(stream, **arrays)
+                stream.write(json.dumps(meta).encode("utf-8") + b"\n")
+                for section in sections:
+                    array("q", section).tofile(stream)
             os.replace(temp_name, path)
         except BaseException:
             try:
@@ -789,7 +759,7 @@ def _persist_trace(trace: CompiledTrace) -> None:
 def compiled_trace_for(benchmark: str, seed: int = 1) -> CompiledTrace:
     """The (cached) compiled trace of one seeded workload.
 
-    Consults the in-process LRU first, then the on-disk ``.npz`` cache,
+    Consults the in-process LRU first, then the on-disk cache,
     and only then compiles from the workload generator.
     """
     key = _trace_cache_key(benchmark, seed)
@@ -819,8 +789,9 @@ def compiled_trace_for(benchmark: str, seed: int = 1) -> CompiledTrace:
 def clear_trace_cache(disk: bool = True) -> None:
     """Drop every cached compiled trace, in memory and (by default) on disk.
 
-    Tests use this for isolation; re-recorded ``trace:`` files never
-    need it (their cache keys include the file identity).
+    The disk sweep removes every ``trace-*`` entry, older formats
+    included.  Tests use this for isolation; re-recorded ``trace:``
+    files never need it (their cache keys include the file identity).
     """
     with _TRACE_CACHE_LOCK:
         _TRACE_CACHE.clear()
@@ -829,7 +800,7 @@ def clear_trace_cache(disk: bool = True) -> None:
     directory = trace_cache_dir()
     if directory is None or not directory.is_dir():
         return
-    for path in directory.glob("trace-*.npz"):
+    for path in directory.glob("trace-*"):
         try:
             path.unlink()
         except OSError:

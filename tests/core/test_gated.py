@@ -1,76 +1,45 @@
-"""Tests for gated precharging, the decay counter and predecoding."""
+"""Tests for gated precharging, its decay-counter model and predecoding."""
 
 import pytest
 
 from repro.circuits.cacti import cache_organization
-from repro.core import DecayCounter, GatedPrechargePolicy, Predecoder, counter_energy_fraction
-from repro.core.decay_counter import DEFAULT_COUNTER_BITS
+from repro.core import CANDIDATE_THRESHOLDS, GatedPrechargePolicy, Predecoder
 
 from tests.conftest import make_attached
 
 
-class TestDecayCounter:
-    def test_resets_on_access(self):
-        counter = DecayCounter(threshold=100)
-        counter.advance(50)
-        counter.reset()
-        assert counter.value == 0
-        assert counter.is_hot
-
-    def test_goes_cold_at_threshold(self):
-        counter = DecayCounter(threshold=10)
-        counter.advance(9)
-        assert counter.is_hot
-        counter.tick()
-        assert not counter.is_hot
-
-    def test_saturates_at_counter_width(self):
-        counter = DecayCounter(threshold=100, bits=10)
-        counter.advance(10_000)
-        assert counter.value == 1023
-
-    def test_ten_bits_are_enough_for_paper_thresholds(self):
-        # The paper's thresholds are on the order of 10-1000.
-        for threshold in (10, 100, 1000):
-            DecayCounter(threshold=threshold, bits=DEFAULT_COUNTER_BITS)
-
-    def test_threshold_must_fit_counter(self):
-        with pytest.raises(ValueError):
-            DecayCounter(threshold=2000, bits=10)
-
-    def test_negative_advance_rejected(self):
-        with pytest.raises(ValueError):
-            DecayCounter(threshold=10).advance(-1)
-
-    def test_hardware_energy_is_negligible(self):
-        # The paper estimates under 0.02% of one cache access per counter.
-        assert counter_energy_fraction(32) < 0.01
-        with pytest.raises(ValueError):
-            counter_energy_fraction(0)
-
-
 class TestGatedCounterBank:
+    """The Figure 7 counter bank, counted directly from last accesses."""
+
     def test_bank_matches_lazy_evaluation(self):
         policy, _ = make_attached(GatedPrechargePolicy(threshold=100))
         for subarray, cycle in [(0, 10), (1, 40), (0, 90), (2, 120)]:
             policy.access(subarray, cycle)
-        for probe in (0, 50, 120, 189, 190, 250, 5_000):
-            bank = policy.counter_bank(probe)
+        n_subarrays = policy.organization.n_subarrays
+        probes = (0, 50, 120, 189, 190, 250, 5_000)
+        for probe in probes:
             expected = [
                 policy._is_precharged(index, probe)
-                for index in range(len(bank))
+                for index in range(n_subarrays)
             ]
-            assert [bank.is_hot(index) for index in range(len(bank))] == expected
             assert policy.precharged_subarrays(probe) == sum(expected)
+        # Hot sets by hand: all until cycle 100, then {0, 1, 2}, {0, 2},
+        # {2}, and none once subarray 2 has idled 100 cycles.
+        assert [policy.precharged_subarrays(probe) for probe in probes] == [
+            n_subarrays, n_subarrays, 3, 2, 1, 0, 0
+        ]
 
     def test_bank_widens_for_large_thresholds(self):
         policy, _ = make_attached(GatedPrechargePolicy(threshold=5_000))
         policy.access(0, 0)
-        bank = policy.counter_bank(4_999)
-        assert bank.saturation_value >= 5_000
-        assert bank.is_hot(0)
-        assert policy.precharged_subarrays(4_999) == len(bank)
-        assert not policy.counter_bank(5_000).is_hot(0)
+        n_subarrays = policy.organization.n_subarrays
+        assert policy.precharged_subarrays(4_999) == n_subarrays
+        assert policy.precharged_subarrays(5_000) == 0
+
+    def test_ten_bits_are_enough_for_paper_thresholds(self):
+        # The paper's thresholds are on the order of 10-1000, so a
+        # 10-bit decay counter represents every candidate.
+        assert max(CANDIDATE_THRESHOLDS) < 1 << 10
 
 
 class TestGatedPolicy:

@@ -1,10 +1,9 @@
 """Property-based tests for the PR-2 subsystems.
 
 Hypothesis pins the invariants the fast path and trace format lean on:
-decay-counter saturation (batched ``advance`` equals cycle-by-cycle
-``tick``), energy-ledger non-negativity and additivity (splitting one
-run's event stream in two and summing the breakdowns changes nothing),
-and trace-file write→read round-trip identity.
+energy-ledger non-negativity and additivity (splitting one run's event
+stream in two and summing the breakdowns changes nothing), and
+trace-file write→read round-trip identity.
 """
 
 from __future__ import annotations
@@ -15,7 +14,6 @@ from hypothesis import given, settings, strategies as st
 
 from repro.cache.energy_accounting import EnergyLedger
 from repro.circuits.cacti import cache_organization
-from repro.core.decay_counter import DecayCounter, DecayCounterBank
 from repro.workloads.trace import MicroOp, OP_TYPES
 from repro.workloads.tracefile import read_trace, write_trace
 
@@ -23,95 +21,6 @@ from repro.workloads.tracefile import read_trace, write_trace
 def _fresh_ledger() -> EnergyLedger:
     organization = cache_organization(70, 32 * 1024, 32, 2, 1024, ports=2)
     return EnergyLedger(organization.subarray, organization.n_subarrays)
-
-
-# ----------------------------------------------------------------------
-# Decay counters
-# ----------------------------------------------------------------------
-class TestDecayCounterProperties:
-    @given(
-        threshold=st.integers(min_value=0, max_value=1023),
-        cycles=st.integers(min_value=0, max_value=5000),
-    )
-    @settings(max_examples=80, deadline=None)
-    def test_batched_advance_equals_ticks(self, threshold, cycles):
-        ticked = DecayCounter(threshold=threshold)
-        advanced = DecayCounter(threshold=threshold)
-        for _ in range(cycles):
-            ticked.tick()
-        advanced.advance(cycles)
-        assert ticked.value == advanced.value
-        assert ticked.is_hot == advanced.is_hot
-
-    @given(
-        bits=st.integers(min_value=1, max_value=12),
-        cycles=st.integers(min_value=0, max_value=10_000),
-    )
-    @settings(max_examples=80, deadline=None)
-    def test_counter_saturates_and_never_overflows(self, bits, cycles):
-        counter = DecayCounter(threshold=0, bits=bits)
-        counter.advance(cycles)
-        assert 0 <= counter.value <= counter.saturation_value
-        assert counter.value == min(cycles, (1 << bits) - 1)
-        counter.advance(1)
-        assert counter.value <= counter.saturation_value
-
-    @given(
-        threshold=st.integers(min_value=1, max_value=1023),
-        splits=st.lists(
-            st.integers(min_value=0, max_value=400), min_size=1, max_size=10
-        ),
-    )
-    @settings(max_examples=80, deadline=None)
-    def test_advance_is_additive(self, threshold, splits):
-        split = DecayCounter(threshold=threshold)
-        for step in splits:
-            split.advance(step)
-        whole = DecayCounter(threshold=threshold)
-        whole.advance(sum(splits))
-        assert split.value == whole.value
-
-    @given(threshold=st.integers(min_value=1, max_value=1023))
-    @settings(max_examples=40, deadline=None)
-    def test_reset_restores_hot(self, threshold):
-        counter = DecayCounter(threshold=threshold)
-        counter.advance(threshold + 50)
-        assert not counter.is_hot
-        counter.reset()
-        assert counter.value == 0
-        assert counter.is_hot
-
-
-class TestDecayCounterBankProperties:
-    @given(
-        n_counters=st.integers(min_value=1, max_value=32),
-        threshold=st.integers(min_value=0, max_value=1023),
-        schedule=st.lists(
-            st.tuples(
-                st.integers(min_value=0, max_value=600),   # advance amount
-                st.integers(min_value=0, max_value=31),    # counter to reset
-            ),
-            min_size=0,
-            max_size=20,
-        ),
-    )
-    @settings(max_examples=60, deadline=None)
-    def test_bank_matches_scalar_counters(self, n_counters, threshold, schedule):
-        bank = DecayCounterBank(n_counters, threshold=threshold)
-        scalars = [DecayCounter(threshold=threshold) for _ in range(n_counters)]
-        for amount, reset_index in schedule:
-            bank.advance(amount)
-            for counter in scalars:
-                counter.advance(amount)
-            index = reset_index % n_counters
-            bank.reset(index)
-            scalars[index].reset()
-        assert bank.values == [counter.value for counter in scalars]
-        assert [bank.is_hot(i) for i in range(n_counters)] == [
-            counter.is_hot for counter in scalars
-        ]
-        assert bank.hot_count() == sum(counter.is_hot for counter in scalars)
-        assert [c.value for c in bank.counters()] == bank.values
 
 
 # ----------------------------------------------------------------------

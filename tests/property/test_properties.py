@@ -8,7 +8,7 @@ from repro.cache.subarray import SubarrayTracker
 from repro.circuits.bitline import Bitline
 from repro.circuits.cacti import cache_organization
 from repro.circuits.technology import get_technology
-from repro.core import DecayCounter, GatedPrechargePolicy, OraclePrechargePolicy
+from repro.core import GatedPrechargePolicy, OraclePrechargePolicy
 from repro.core.threshold import ThresholdProfile, select_threshold
 from repro.cpu.branch_predictor import CombinationPredictor
 from repro.experiments.report import format_table
@@ -125,15 +125,6 @@ class TestPolicyProperties:
             oracle_ledger.breakdown(end).precharged_subarray_cycles
             <= gated_ledger.breakdown(end).precharged_subarray_cycles + 1e-9
         )
-
-    @given(value=st.integers(min_value=0, max_value=100_000),
-           threshold=st.integers(min_value=1, max_value=1023))
-    @settings(max_examples=60, deadline=None)
-    def test_decay_counter_saturation_and_hotness(self, value, threshold):
-        counter = DecayCounter(threshold=threshold)
-        counter.advance(value)
-        assert 0 <= counter.value <= counter.saturation_value
-        assert counter.is_hot == (counter.value < threshold)
 
 
 class TestThresholdProperties:

@@ -1,23 +1,29 @@
 """The compiled-trace caches: typed columns, disk persistence, eviction.
 
-Pins the PR-4 trace-cache contract:
+Pins the trace-cache contract:
 
-* numpy-backed (``from_columns`` over ``int64`` arrays) and pure-Python
-  compiled traces yield identical ``micro_op()`` streams *and* identical
-  precomputed predictor columns (property-based);
-* a trace persisted to the on-disk ``.npz`` cache round-trips — a fresh
+* ``from_columns`` over the ``array("q")`` columns the disk loader
+  passes and live-compiled traces yield identical ``micro_op()`` streams
+  *and* identical precomputed predictor columns (property-based);
+* a trace persisted to the on-disk cache round-trips — a fresh
   in-memory cache loads it and produces bit-identical runs;
-* corrupted, truncated or key-mismatched ``.npz`` entries are evicted
-  and recompiled instead of poisoning results;
-* ``clear_trace_cache()`` clears the disk cache too, and re-recorded
-  ``trace:`` files never serve stale entries (file identity is part of
-  the key, hence of the disk filename);
-* everything still works with numpy absent (disk cache disabled).
+* garbage, truncated, length-, byte-order- or key-mismatched entries
+  are evicted and recompiled instead of poisoning results;
+* ``clear_trace_cache()`` clears the disk cache too (entries of older
+  formats included), and re-recorded ``trace:`` files never serve stale
+  entries (file identity is part of the key, hence of the disk filename);
+* the CLI, the service and a fast run persist traces without importing
+  numpy.
 """
 
 from __future__ import annotations
 
+import json
 import os
+import subprocess
+import sys
+from array import array
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -32,24 +38,10 @@ from repro.sim.fastpath import (
     set_trace_cache_dir,
     trace_cache_dir,
 )
-from repro.workloads.trace import (
-    OP_ALU,
-    OP_BRANCH,
-    OP_LOAD,
-    OP_STORE,
-    OP_TYPES,
-    MicroOp,
-)
+from repro.workloads.trace import OP_ALU, OP_TYPES, MicroOp
 from repro.workloads.tracefile import record_benchmark
 
-try:
-    import numpy
-except ImportError:  # pragma: no cover - the no-numpy CI leg
-    numpy = None
-
-requires_numpy = pytest.mark.skipif(
-    numpy is None, reason="typed-array export and the .npz cache need numpy"
-)
+SRC = Path(__file__).resolve().parents[2] / "src"
 
 
 @pytest.fixture()
@@ -86,30 +78,36 @@ _micro_ops = st.builds(
 )
 
 
-@requires_numpy
 class TestTypedColumns:
     @given(ops=st.lists(_micro_ops, max_size=120))
     @settings(max_examples=60, deadline=None)
-    def test_numpy_and_pure_python_columns_equal(self, ops):
-        """int64-array-backed and list-backed traces are indistinguishable."""
+    def test_array_and_list_columns_equal(self, ops):
+        """``array("q")``-backed and list-backed traces are indistinguishable."""
         compiled = CompiledTrace(iter(ops))
         compiled.ensure(len(ops))
-        arrays = compiled.column_arrays()
-        assert all(a.dtype == numpy.int64 for a in arrays.values())
-        rebuilt = CompiledTrace.from_columns(arrays, exhausted=True)
-        assert rebuilt.rows == compiled.rows == len(ops)
-        for index in range(len(ops)):
-            assert rebuilt.micro_op(index) == compiled.micro_op(index) == ops[index]
-        # The derived predictor / fetch-batching columns are pure
-        # functions of the base columns, so they must match too.
-        assert rebuilt.mispred == compiled.mispred
-        assert rebuilt.br_pref == compiled.br_pref
-        assert rebuilt.mp_pref == compiled.mp_pref
-        assert rebuilt.terms == compiled.terms
-        assert rebuilt._bimodal == compiled._bimodal
-        assert rebuilt._gshare == compiled._gshare
-        assert rebuilt._chooser == compiled._chooser
-        assert rebuilt._history == compiled._history
+        columns, predictor, _ = compiled.snapshot()
+        arrays = {name: array("q", column) for name, column in columns.items()}
+        tables = {name: array("q", predictor[name])
+                  for name in fastpath._PREDICTOR_TABLES}
+        tables["history"] = predictor["history"]
+        # Restored (as the disk loader does) and replayed predictor state.
+        for restored in (tables, None):
+            rebuilt = CompiledTrace.from_columns(
+                arrays, exhausted=True, predictor=restored
+            )
+            assert rebuilt.rows == compiled.rows == len(ops)
+            for index in range(len(ops)):
+                assert rebuilt.micro_op(index) == compiled.micro_op(index) == ops[index]
+            # The derived predictor / fetch-batching columns are pure
+            # functions of the base columns, so they must match too.
+            assert rebuilt.mispred == compiled.mispred
+            assert rebuilt.br_pref == compiled.br_pref
+            assert rebuilt.mp_pref == compiled.mp_pref
+            assert rebuilt.terms == compiled.terms
+            assert rebuilt._bimodal == compiled._bimodal
+            assert rebuilt._gshare == compiled._gshare
+            assert rebuilt._chooser == compiled._chooser
+            assert rebuilt._history == compiled._history
 
     def test_from_columns_rejects_mismatched_lengths(self):
         compiled = CompiledTrace(iter([MicroOp(OP_ALU, pc=0)]))
@@ -122,7 +120,8 @@ class TestTypedColumns:
     def test_from_columns_without_source_cannot_extend(self):
         compiled = CompiledTrace(iter([MicroOp(OP_ALU, pc=0)]))
         compiled.ensure(1)
-        rebuilt = CompiledTrace.from_columns(compiled.column_arrays(), exhausted=False)
+        columns, _, _ = compiled.snapshot()
+        rebuilt = CompiledTrace.from_columns(columns, exhausted=False)
         with pytest.raises(RuntimeError, match="continuation source"):
             rebuilt.ensure(5)
 
@@ -130,17 +129,34 @@ class TestTypedColumns:
 # ----------------------------------------------------------------------
 # Disk cache round-trip
 # ----------------------------------------------------------------------
-@requires_numpy
+def _edit_header(data: bytes, field: str, edit) -> bytes:
+    header, newline, body = data.partition(b"\n")
+    meta = json.loads(header)
+    meta[field] = edit(meta[field])
+    return json.dumps(meta).encode("utf-8") + newline + body
+
+
+#: One defect per way a disk entry can go bad; each must be evicted.
+_DEFECTS = {
+    "garbage": lambda data: b"this is not a trace-cache entry",
+    "truncated-body": lambda data: data[:-4096],
+    "rows-off-by-one": lambda data: _edit_header(data, "rows", lambda rows: rows + 1),
+    "foreign-byteorder": lambda data: _edit_header(
+        data, "byteorder", lambda order: "big" if order == "little" else "little"
+    ),
+}
+
+
 class TestDiskCache:
     def test_run_persists_and_reloads(self, disk_cache):
         config = _config()
         reference = execute_run(config)
         first = execute_run_fast(config)
-        entries = list(disk_cache.glob("trace-*.npz"))
+        entries = list(disk_cache.glob("trace-*.cols"))
         assert len(entries) == 1, "the run should persist its compiled trace"
 
         compiled = compiled_trace_for("gcc")
-        clear_trace_cache(disk=False)  # drop memory, keep the .npz
+        clear_trace_cache(disk=False)  # drop memory, keep the disk entry
         reloaded_trace = compiled_trace_for("gcc")
         assert reloaded_trace is not compiled
         assert reloaded_trace.rows == compiled.rows
@@ -161,28 +177,30 @@ class TestDiskCache:
         longer = _config(n=12_000)
         assert execute_run_fast(longer).to_dict() == execute_run(longer).to_dict()
 
-    def test_corrupted_entry_is_evicted_and_recompiled(self, disk_cache):
+    @pytest.mark.parametrize("defect", list(_DEFECTS))
+    def test_corrupted_entry_is_evicted_and_recompiled(self, disk_cache, defect):
         config = _config()
         expected = execute_run_fast(config).to_dict()
-        [entry] = disk_cache.glob("trace-*.npz")
-        entry.write_bytes(b"this is not a zip archive")
+        [entry] = disk_cache.glob("trace-*.cols")
+        original = entry.read_bytes()
+        entry.write_bytes(_DEFECTS[defect](original))
         clear_trace_cache(disk=False)
         assert execute_run_fast(config).to_dict() == expected
-        assert not entry.read_bytes().startswith(b"this is not"), (
+        assert entry.read_bytes() == original, (
             "the corrupted entry should have been evicted and rewritten"
         )
 
     def test_truncated_entry_is_evicted(self, disk_cache):
         config = _config()
         expected = execute_run_fast(config).to_dict()
-        [entry] = disk_cache.glob("trace-*.npz")
+        [entry] = disk_cache.glob("trace-*.cols")
         entry.write_bytes(entry.read_bytes()[:100])
         clear_trace_cache(disk=False)
         assert execute_run_fast(config).to_dict() == expected
 
     def test_key_mismatch_is_never_served(self, disk_cache):
         execute_run_fast(_config(benchmark="gcc"))
-        [gcc_entry] = disk_cache.glob("trace-*.npz")
+        [gcc_entry] = disk_cache.glob("trace-*.cols")
         clear_trace_cache(disk=False)
         # Masquerade gcc's entry under mcf's filename (a copied cache
         # dir / hash collision stand-in): the embedded key must reject it.
@@ -193,9 +211,12 @@ class TestDiskCache:
 
     def test_clear_trace_cache_clears_disk_too(self, disk_cache):
         execute_run_fast(_config())
-        assert list(disk_cache.glob("trace-*.npz"))
+        assert list(disk_cache.glob("trace-*.cols"))
+        # A format-1 entry left behind by an older release.
+        stale = disk_cache / f"trace-{'0' * 40}.npz"
+        stale.write_bytes(b"PK\x03\x04")
         clear_trace_cache()
-        assert not list(disk_cache.glob("trace-*.npz"))
+        assert not list(disk_cache.glob("trace-*"))
 
     def test_rerecorded_trace_file_gets_fresh_disk_entry(self, disk_cache, tmp_path):
         path = tmp_path / "w.trace.gz"
@@ -214,43 +235,28 @@ class TestDiskCache:
         set_trace_cache_dir(None)
         assert trace_cache_dir() is None
         execute_run_fast(_config())
-        assert not list(disk_cache.glob("trace-*.npz"))
+        assert not list(disk_cache.glob("trace-*"))
 
 
 # ----------------------------------------------------------------------
-# numpy-free fallback
+# No numpy anywhere on the simulating path
 # ----------------------------------------------------------------------
-class TestWithoutNumpy:
-    @pytest.fixture()
-    def no_numpy(self, monkeypatch):
-        monkeypatch.setattr(fastpath, "_np", None)
-        clear_trace_cache(disk=False)
-        yield
-        clear_trace_cache(disk=False)
-
-    def test_disk_cache_disabled(self, no_numpy, tmp_path):
-        set_trace_cache_dir(tmp_path)
-        try:
-            assert trace_cache_dir() is None
-            execute_run_fast(_config(n=600))
-            assert not list(tmp_path.glob("trace-*.npz"))
-        finally:
-            fastpath._DISK_DIR_OVERRIDE = fastpath._UNSET
-
-    def test_fast_path_still_bit_identical(self, no_numpy):
-        config = _config(n=1_200)
-        assert execute_run_fast(config).to_dict() == execute_run(config).to_dict()
-
-    def test_pure_python_rebuild_matches(self, no_numpy):
-        ops = [
-            MicroOp(OP_BRANCH if i % 3 == 0 else OP_ALU, pc=4 * i,
-                    taken=bool(i % 2), dest=i % 8)
-            for i in range(700)
-        ]
-        compiled = CompiledTrace(iter(ops))
-        compiled.ensure(len(ops))
-        columns = {name: list(getattr(compiled, name)) for name in fastpath.COLUMN_NAMES}
-        rebuilt = CompiledTrace.from_columns(columns, exhausted=True)
-        assert rebuilt.br_pref == compiled.br_pref
-        assert rebuilt.terms == compiled.terms
-        assert [rebuilt.micro_op(i) for i in range(5)] == ops[:5]
+def test_cli_service_and_fast_run_never_import_numpy(tmp_path):
+    """A fresh process persists a trace and leaves numpy unimported."""
+    script = (
+        "import sys, repro, repro.cli, repro.service.server\n"
+        "from repro.sim.config import SimulationConfig\n"
+        "from repro.sim.engine import execute_run_fast\n"
+        "execute_run_fast(SimulationConfig(benchmark='gcc', dcache='gated',"
+        " icache='gated', n_instructions=600))\n"
+        "print('numpy' in sys.modules)\n"
+    )
+    env = dict(os.environ, REPRO_TRACE_CACHE_DIR=str(tmp_path))
+    env["PYTHONPATH"] = str(SRC) + os.pathsep + env.get("PYTHONPATH", "")
+    result = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    assert list(tmp_path.glob("trace-*")), "the run should persist its trace"
+    assert result.stdout.strip() == "False", "numpy was imported"
