@@ -29,6 +29,11 @@ and are activated per-process three ways:
 The site catalogue (:data:`SITES`) names every failpoint and its legal
 actions; :meth:`FaultPlan.parse` rejects anything outside it, so a typo
 in a chaos spec fails fast instead of silently injecting nothing.
+
+A layer boundary enters its failpoint through :func:`site`, which is
+also its span: while a :mod:`repro.obs.trace` recorder is armed the
+block is recorded as a span named after the site.  Span-only sites
+(no actions) are catalogued too, so rules on them are rejected.
 """
 
 from __future__ import annotations
@@ -37,8 +42,11 @@ import os
 import random
 import threading
 import time
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Tuple, Union
+from typing import Any, ContextManager, Dict, Optional, Tuple, Union
+
+from repro.obs import trace as obs_trace
 
 __all__ = [
     "SITES",
@@ -50,6 +58,7 @@ __all__ = [
     "check",
     "clear",
     "install",
+    "site",
     "trip",
 ]
 
@@ -83,6 +92,9 @@ SITES: Dict[str, Tuple[str, ...]] = {
     # Client requests: fail as a transport error, or stall before
     # sending.
     "client.request": ("drop", "stall"),
+    # Span-only sites: timed by site() while tracing, never faulted.
+    "engine.run_many": (),
+    "unit.exec": (),
 }
 
 
@@ -133,7 +145,7 @@ class FaultRule:
         if self.action not in actions:
             raise ValueError(
                 f"site {self.site!r} does not support action {self.action!r}; "
-                f"supported: {', '.join(actions)}"
+                f"supported: {', '.join(actions) or 'none (span-only site)'}"
             )
         if not 0.0 < self.p <= 1.0:
             raise ValueError(f"p must be in (0, 1], got {self.p}")
@@ -321,6 +333,62 @@ def check(site: str) -> Optional[FaultHit]:
             return None
         state.fires += 1
     return FaultHit(site=site, action=rule.action, delay=rule.delay)
+
+
+#: What a disarmed :func:`site` returns: one shared, reusable no-op.
+_IDLE = nullcontext()
+
+
+def site(
+    name: str, trace_id: Optional[str] = None, parent_id: Optional[str] = None,
+    **attrs: Any,
+) -> ContextManager[Optional[FaultHit]]:
+    """Enter the layer boundary ``name``: its failpoint and its span.
+
+    ``with faults.site("store.put", key=key) as hit:`` yields what
+    :func:`check` returns.  Disarmed (no plan, no span recorder) it
+    returns one shared idle object after two global reads.  Armed,
+    entering the block calls :func:`check` exactly once; while a
+    recorder is installed the block is also recorded as a span named
+    ``name`` — parented to ``trace_id``/``parent_id`` when given, else
+    to the thread's current span — and is the thread's current span
+    inside the block.  An exception leaving the block sets
+    ``attrs["error"]`` to its type name.
+    """
+    if _PLAN is None and obs_trace.recorder() is None:
+        return _IDLE
+    return _site(name, trace_id, parent_id, attrs)
+
+
+@contextmanager
+def _site(name, trace_id, parent_id, attrs):
+    """The armed :func:`site`: check once, then time the block as a span."""
+    hit = check(name)
+    if obs_trace.recorder() is None:
+        yield hit
+        return
+    outer = obs_trace.get_current()
+    if trace_id is None and outer is not None:
+        trace_id, parent_id = outer
+    trace_id = trace_id or obs_trace.new_trace_id()
+    span_id = obs_trace.new_span_id()
+    obs_trace.set_current(trace_id, span_id)
+    start, began = time.time(), time.perf_counter()
+    try:
+        yield hit
+    except BaseException as error:
+        attrs["error"] = type(error).__name__
+        raise
+    finally:
+        if outer is None:
+            obs_trace.clear_current()
+        else:
+            obs_trace.set_current(*outer)
+        obs_trace.record_span(
+            name, start, time.perf_counter() - began,
+            trace_id=trace_id, span_id=span_id, parent_id=parent_id,
+            attrs=attrs,
+        )
 
 
 def trip(site: str) -> Optional[FaultHit]:

@@ -1,7 +1,6 @@
 """``repro.obs`` — observability: tracing, profiling, exporters, logs.
 
-Four small modules, all sharing the :mod:`repro.faults` discipline of
-being fast no-ops until armed:
+Four small modules, all fast no-ops until armed:
 
 * :mod:`repro.obs.trace` — span model, trace-context propagation
   (``X-Repro-Trace``), and the bounded in-process span ring;
@@ -11,34 +10,12 @@ being fast no-ops until armed:
   (compile / quiet-skip / fetch / issue-scan / cache attribution);
 * :mod:`repro.obs.log` — structured JSON log lines carrying trace ids.
 
-See ``docs/observability.md`` for the end-to-end walkthrough.
+Layer boundaries (journal, store, engine, scheduler) record their spans
+through :func:`repro.faults.site`, the one hook that is both a failpoint
+and a span.  See ``docs/observability.md`` for the end-to-end
+walkthrough.
 """
 
 from . import export, log, profile, trace
-from .trace import (
-    HEADER,
-    Span,
-    SpanRecorder,
-    TraceContext,
-    format_header,
-    new_span_id,
-    new_trace_id,
-    parse_header,
-    record_span,
-)
 
-__all__ = [
-    "HEADER",
-    "Span",
-    "SpanRecorder",
-    "TraceContext",
-    "export",
-    "format_header",
-    "log",
-    "new_span_id",
-    "new_trace_id",
-    "parse_header",
-    "profile",
-    "record_span",
-    "trace",
-]
+__all__ = ["export", "log", "profile", "trace"]

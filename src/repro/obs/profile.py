@@ -95,24 +95,6 @@ class PhaseProfile:
             },
         }
 
-    def merge(self, other: Dict[str, Any]) -> None:
-        """Fold another profile's ``as_dict()`` payload into this one."""
-        self.runs += int(other.get("runs", 0))
-        phases = other.get("phases", {})
-        for name, attr_s, attr_n in (
-            ("compile", "compile_s", "compiles"),
-            ("quiet_skip", "quiet_skip_s", "quiet_skips"),
-            ("fetch", "fetch_s", "fetch_rounds"),
-            ("issue_scan", "issue_scan_s", "issue_scans"),
-            ("cache", "cache_s", "cache_accesses"),
-        ):
-            entry = phases.get(name)
-            if entry:
-                setattr(self, attr_s,
-                        getattr(self, attr_s) + float(entry.get("seconds", 0.0)))
-                setattr(self, attr_n,
-                        getattr(self, attr_n) + int(entry.get("events", 0)))
-
 
 _ACTIVE: Optional[PhaseProfile] = None
 

@@ -24,10 +24,10 @@ the same clock; across hosts the root span absorbs the clock skew and
 the server-side children remain exact.
 
 Inside the server process the *current* context travels through a
-thread-local (:func:`set_current` / :func:`get_current`): the scheduler
-sets it around engine calls so engine chunk spans can parent themselves
-to the unit-execution span without threading arguments through every
-layer.
+thread-local (:func:`set_current` / :func:`get_current`):
+:func:`repro.faults.site` binds it for each boundary span, so nested
+boundaries and engine chunk spans parent themselves without threading
+arguments through every layer.
 """
 
 from __future__ import annotations

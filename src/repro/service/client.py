@@ -169,7 +169,12 @@ class ServiceClient:
                 headers=request_headers,
             )
             try:
-                _injected_transport_fault()
+                # The client.request failpoint: trip sleeps a "stall" in
+                # place; a "drop" flows through the transport-retry
+                # branch below exactly as a connection reset would.
+                hit = faults.trip("client.request")
+                if hit is not None and hit.action == "drop":
+                    raise urllib.error.URLError("injected fault: client.request drop")
                 with urllib.request.urlopen(request, timeout=self.timeout) as response:
                     return json.loads(response.read().decode("utf-8"))
             except urllib.error.HTTPError as error:
@@ -391,23 +396,6 @@ class ServiceClient:
                 results[key] = self.result(key)
             ordered.append(results[key])
         return ordered
-
-
-def _injected_transport_fault() -> None:
-    """The ``client.request`` failpoint: a fault before the wire.
-
-    ``drop`` raises :class:`urllib.error.URLError`, which flows through
-    the normal transport-retry branch (backoff, budget, jitter) exactly
-    as a connection reset would; ``stall`` sleeps in place, modelling a
-    slow network without consuming a retry attempt.
-    """
-    hit = faults.check("client.request")
-    if hit is None:
-        return
-    if hit.action == "stall":
-        time.sleep(hit.delay)
-    elif hit.action == "drop":
-        raise urllib.error.URLError("injected fault: client.request drop")
 
 
 def _with_options(payload: dict, priority: int, timeout_s: Optional[float]) -> dict:

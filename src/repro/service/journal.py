@@ -107,40 +107,43 @@ class JobJournal:
             _LOCAL_LOCKS.discard(self._lock_key)
 
     # ------------------------------------------------------------------
-    def _append(self, event: dict) -> None:
-        """One fsynced JSON line; self-healing after a torn write.
+    def _append(self, job: Job, event: dict) -> None:
+        """One fsynced JSON line for ``job``; self-healing after a torn write.
 
         If a previous append failed partway (disk full, injected torn
         write) the file may end mid-line; the next successful append
         starts with a newline so the damage is confined to the one
         line replay already tolerates, instead of gluing two events
-        into one unparseable record.
+        into one unparseable record.  The append is a span of the job.
         """
-        line = json.dumps(event, separators=(",", ":"))
-        hit = faults.check("journal.append")
-        if hit is not None:
-            if hit.action == "error":
-                raise OSError(f"injected fault: journal append to {self.path.name}")
-            if hit.action == "torn":
-                self._handle.write(line[: max(1, len(line) // 2)])
+        with faults.site(
+            "journal.append", getattr(job, "trace_id", None),
+            getattr(job, "root_span_id", None), job_id=job.id, kind=event["event"],
+        ) as hit:
+            line = json.dumps(event, separators=(",", ":"))
+            if hit is not None:
+                if hit.action == "error":
+                    raise OSError(f"injected fault: journal append to {self.path.name}")
+                if hit.action == "torn":
+                    self._handle.write(line[: max(1, len(line) // 2)])
+                    self._handle.flush()
+                    os.fsync(self._handle.fileno())
+                    self._needs_newline = True
+                    raise OSError(
+                        f"injected fault: torn journal append to {self.path.name}"
+                    )
+            try:
+                if self._needs_newline:
+                    self._handle.write("\n")
+                    self._needs_newline = False
+                self._handle.write(line + "\n")
                 self._handle.flush()
                 os.fsync(self._handle.fileno())
+            except OSError:
+                # The write may have landed partially; make the next append
+                # terminate this line before starting its own.
                 self._needs_newline = True
-                raise OSError(
-                    f"injected fault: torn journal append to {self.path.name}"
-                )
-        try:
-            if self._needs_newline:
-                self._handle.write("\n")
-                self._needs_newline = False
-            self._handle.write(line + "\n")
-            self._handle.flush()
-            os.fsync(self._handle.fileno())
-        except OSError:
-            # The write may have landed partially; make the next append
-            # terminate this line before starting its own.
-            self._needs_newline = True
-            raise
+                raise
 
     def record_submit(self, job: Job) -> None:
         """WAL a job before its admission is acknowledged.
@@ -150,8 +153,8 @@ class JobJournal:
         drops it — recorders must tolerate its absence).
         """
         self._append(
-            {"v": 1, "event": "submit", "t": round(time.time(), 6),
-             "job": job.to_dict()}
+            job, {"v": 1, "event": "submit", "t": round(time.time(), 6),
+                  "job": job.to_dict()}
         )
 
     def record_finish(self, job: Job) -> None:
@@ -159,7 +162,7 @@ class JobJournal:
         event = {"v": 1, "event": job.status, "id": job.id}
         if job.error:
             event["error"] = job.error
-        self._append(event)
+        self._append(job, event)
 
     # ------------------------------------------------------------------
     def replay(self) -> List[Job]:

@@ -161,25 +161,26 @@ class Scheduler:
     def _run_units(self, job: Job, units: List[Unit], cancel: threading.Event) -> None:
         configs = [unit.config for unit in units]
         started = time.monotonic()
-        started_wall = time.time()
-        trace_id = getattr(job, "trace_id", None) or obs_trace.new_trace_id()
-        exec_span = obs_trace.new_span_id()
-        # Bind the thread-local context so the engine's chunk spans can
-        # parent themselves to this unit-execution span without any API
-        # change through run_many.
-        obs_trace.set_current(trace_id, exec_span)
+        trace_id = getattr(job, "trace_id", None)
         try:
-            # The scheduler.unit failpoint models executor death before
-            # the engine ever runs ("raise", exercising the unit
-            # retry/quarantine path) and a timeout storm ("timeout",
-            # tripping the same cancel event a deadline would).
-            hit = faults.check("scheduler.unit")
-            if hit is not None:
-                if hit.action == "timeout":
-                    cancel.set()
-                elif hit.action == "raise":
-                    raise faults.FaultInjected("scheduler.unit")
-            results = self.engine.run_many(configs, cancel=cancel)
+            # The unit.exec span is the thread's current span inside the
+            # block, so the engine's spans parent themselves to it.
+            with faults.site(
+                "unit.exec", trace_id, getattr(job, "root_span_id", None),
+                job_id=job.id, units=len(units),
+            ):
+                # The scheduler.unit failpoint models executor death
+                # before the engine ever runs ("raise", exercising the
+                # unit retry/quarantine path) and a timeout storm
+                # ("timeout", tripping the same cancel event a deadline
+                # would).
+                hit = faults.check("scheduler.unit")
+                if hit is not None:
+                    if hit.action == "timeout":
+                        cancel.set()
+                    elif hit.action == "raise":
+                        raise faults.FaultInjected("scheduler.unit")
+                results = self.engine.run_many(configs, cancel=cancel)
         except RunCancelled:
             self._recover_cancelled(job, units)
             self.board.finish_cancelled(job)
@@ -206,19 +207,11 @@ class Scheduler:
                 error=message, retried=retried, quarantined=quarantined,
             )
             return
-        finally:
-            obs_trace.clear_current()
         elapsed = time.monotonic() - started
         per_unit = elapsed / max(len(units), 1)
         if self.telemetry is not None:
             self.telemetry.bump("units_executed", len(units))
             self.telemetry.observe_unit_exec(per_unit, units=len(units))
-        obs_trace.record_span(
-            "unit.exec", started_wall, elapsed,
-            trace_id=trace_id, span_id=exec_span,
-            parent_id=getattr(job, "root_span_id", None),
-            attrs={"job_id": job.id, "units": len(units)},
-        )
         obs_log.event(
             "job.units_executed", trace_id=trace_id, job_id=job.id,
             units=len(units), elapsed_s=round(elapsed, 6),

@@ -394,6 +394,12 @@ class ServiceServer:
             return 409, {"error": f"duplicate job id {job.id!r}"}, {}
         self.telemetry.bump("jobs_submitted")
         self.telemetry.bump("units_requested", len(job.configs))
+        # Trace identity rides on the job as runtime attributes (never
+        # journaled): the journal and the board record their spans in
+        # it, the scheduler parents its spans to it.  A client-minted
+        # context wins; otherwise the server mints a root of its own.
+        job.trace_id = ctx.trace_id if ctx else obs_trace.new_trace_id()
+        job.root_span_id = ctx.span_id if ctx else obs_trace.new_span_id()
         # Write-ahead: the journal must know the job before the client
         # is told it was admitted.  A failed WAL write therefore rejects
         # the job (503, retryable) — admitting work the journal cannot
@@ -407,12 +413,8 @@ class ServiceServer:
                 return 503, {
                     "error": f"journal write failed; job not admitted: {error}"
                 }, {"Retry-After": "1"}
-        # Trace identity rides on the job as runtime attributes (never
-        # journaled): the board tags units with it at admission, the
-        # scheduler parents its spans to it.  A client-minted context
-        # wins; otherwise the server mints a root of its own.
-        job.trace_id = ctx.trace_id if ctx else obs_trace.new_trace_id()
-        job.root_span_id = ctx.span_id if ctx else obs_trace.new_span_id()
+        # Admission-time store lookups join the job's trace.
+        obs_trace.set_current(job.trace_id, job.root_span_id)
         try:
             receipt = self.board.submit(job)
         except QueueFull as error:
@@ -431,6 +433,8 @@ class ServiceServer:
             # finishes its results are served from the store instantly.
             self.telemetry.bump("jobs_rejected")
             return 409, {"error": str(error)}, {}
+        finally:
+            obs_trace.clear_current()
         self.telemetry.bump("units_cached", receipt.cached)
         self.telemetry.bump("units_coalesced", receipt.coalesced)
         admit_end = time.time()

@@ -157,17 +157,23 @@ def _execute_chunk(
     rather than once per configuration.  The ``engine.chunk`` failpoint
     fires here, inside the worker: ``crash`` kills the worker process
     (breaking the pool exactly like the OOM killer would), ``raise``
-    fails the task, ``hang`` stalls it.
-
-    Returns ``(results, meta)``: the results plus a small span record —
-    wall-clock start, duration, worker pid, and the kernel phase
-    profile when ``repro.obs.profile`` is armed in the worker (``None``
-    otherwise).  The parent turns ``meta`` into an ``engine.chunk``
-    span; fork workers cannot reach the parent's span ring directly, so
-    the measurement rides back alongside the results.
+    fails the task, ``hang`` stalls it.  Fork workers cannot reach the
+    parent's span ring, so the span record rides back with the results.
     """
     fast, chunk = payload
     faults.trip("engine.chunk")
+    return _run_chunk(fast, chunk)
+
+
+def _run_chunk(
+    fast: bool, chunk: List[SimulationConfig]
+) -> Tuple[List[RunResult], Dict[str, Any]]:
+    """Run ``chunk`` in this process; returns ``(results, meta)``.
+
+    ``meta`` is the ``engine.chunk`` span record (see
+    :func:`_record_chunk_span`): wall-clock start, duration, pid, and
+    the kernel phase profile when ``repro.obs.profile`` is armed.
+    """
     runner = execute_run_fast if fast else execute_run
     start_wall = time.time()
     start = time.perf_counter()
@@ -183,12 +189,11 @@ def _execute_chunk(
 
 
 def _record_chunk_span(meta: Optional[Dict[str, Any]]) -> None:
-    """Record one ``engine.chunk`` span from a worker's meta record.
+    """Record one ``engine.chunk`` span from a :func:`_run_chunk` meta record.
 
-    Parents the span to the scheduler's thread-local unit-execution
-    context when one is bound (the service path); standalone sweeps
-    get free-floating chunk spans under a fresh trace id.  A no-op
-    while no span recorder is installed.
+    Parents the span to the thread's current span — the
+    ``engine.run_many`` site that ran the chunk.  A no-op while no span
+    recorder is installed.
     """
     if meta is None or obs_trace.recorder() is None:
         return
@@ -458,77 +463,67 @@ class SimEngine:
         workers = self.workers if workers is None else workers
         if workers < 1:
             raise ValueError("workers must be at least 1")
-        runner = execute_run_fast if (self.fast if fast is None else fast) else execute_run
+        fast = self.fast if fast is None else fast
         configs = list(configs)
-        results: List[Optional[RunResult]] = [None] * len(configs)
+        with faults.site("engine.run_many", configs=len(configs)):
+            results: List[Optional[RunResult]] = [None] * len(configs)
 
-        pending: "OrderedDict[Tuple, List[int]]" = OrderedDict()
-        pending_configs: Dict[Tuple, SimulationConfig] = {}
-        for index, config in enumerate(configs):
-            key = config.cache_key()
-            hit: Optional[RunResult] = None
-            if use_cache:
-                hit = self._cache_get(key)
-                if hit is None and self.store is not None:
-                    hit = self.store.get(config)
-                    if hit is not None:
-                        self._bump("store_hits")
-                        self._cache_put(key, hit)
-            if hit is not None:
-                results[index] = hit
-            else:
-                pending.setdefault(key, []).append(index)
-                pending_configs.setdefault(key, config)
-
-        todo = list(pending_configs.items())
-        if todo:
-
-            def record(position: int, result: RunResult) -> None:
-                key, config = todo[position]
-                self._bump("computed")
+            pending: "OrderedDict[Tuple, List[int]]" = OrderedDict()
+            pending_configs: Dict[Tuple, SimulationConfig] = {}
+            for index, config in enumerate(configs):
+                key = config.cache_key()
+                hit: Optional[RunResult] = None
                 if use_cache:
-                    self._cache_put(key, result)
-                    if self.store is not None:
-                        try:
-                            self.store.put(config, result)
-                        except OSError:
-                            # A full or failing disk must not lose the
-                            # computed result: it is already in the LRU
-                            # and in the caller's list.  Count it so
-                            # operators can see persistence degrading.
-                            self._bump("store_put_errors")
-                for index in pending[key]:
-                    results[index] = result
+                    hit = self._cache_get(key)
+                    if hit is None and self.store is not None:
+                        hit = self.store.get(config)
+                        if hit is not None:
+                            self._bump("store_hits")
+                            self._cache_put(key, hit)
+                if hit is not None:
+                    results[index] = hit
+                else:
+                    pending.setdefault(key, []).append(index)
+                    pending_configs.setdefault(key, config)
 
-            if workers > 1 and len(todo) > 1:
-                self._run_parallel(
-                    [config for _, config in todo],
-                    workers,
-                    fast=runner is execute_run_fast,
-                    record=record,
-                    cancel=cancel,
-                )
-            else:
-                for position, (_, config) in enumerate(todo):
-                    if cancel is not None and cancel.is_set():
-                        raise RunCancelled(
-                            f"cancelled with {len(todo) - position} of "
-                            f"{len(todo)} configurations outstanding"
-                        )
-                    if obs_trace.recorder() is None:
-                        record(position, runner(config))
-                        continue
-                    start_wall = time.time()
-                    start = time.perf_counter()
-                    result = runner(config)
-                    _record_chunk_span({
-                        "start_s": start_wall,
-                        "dur_s": time.perf_counter() - start,
-                        "pid": os.getpid(),
-                        "configs": 1,
-                        "profile": obs_profile.snapshot(reset=True),
-                    })
-                    record(position, result)
+            todo = list(pending_configs.items())
+            if todo:
+
+                def record(position: int, result: RunResult) -> None:
+                    key, config = todo[position]
+                    self._bump("computed")
+                    if use_cache:
+                        self._cache_put(key, result)
+                        if self.store is not None:
+                            try:
+                                self.store.put(config, result)
+                            except OSError:
+                                # A full or failing disk must not lose the
+                                # computed result: it is already in the LRU
+                                # and in the caller's list.  Count it so
+                                # operators can see persistence degrading.
+                                self._bump("store_put_errors")
+                    for index in pending[key]:
+                        results[index] = result
+
+                if workers > 1 and len(todo) > 1:
+                    self._run_parallel(
+                        [config for _, config in todo],
+                        workers,
+                        fast=fast,
+                        record=record,
+                        cancel=cancel,
+                    )
+                else:
+                    for position, (_, config) in enumerate(todo):
+                        if cancel is not None and cancel.is_set():
+                            raise RunCancelled(
+                                f"cancelled with {len(todo) - position} of "
+                                f"{len(todo)} configurations outstanding"
+                            )
+                        (result,), meta = _run_chunk(fast, [config])
+                        _record_chunk_span(meta)
+                        record(position, result)
         return results  # type: ignore[return-value]
 
     def _run_parallel(
@@ -601,12 +596,23 @@ class SimEngine:
 
         while queue:
             executor = self._executor(workers)
-            futures = [
-                (indices, chunk, attempt, executor.submit(_execute_chunk, (fast, chunk)))
-                for indices, chunk, attempt in queue
-            ]
-            queue = []
+            futures = []
             pool_broken = False
+            for indices, chunk, attempt in queue:
+                try:
+                    future = executor.submit(_execute_chunk, (fast, chunk))
+                except BrokenProcessPool:
+                    # A worker died while chunks were still being
+                    # submitted: recycle the pool once, drain what was
+                    # submitted in salvage mode, and requeue the rest
+                    # without spending an attempt.  (A fresh pool's
+                    # first submit cannot fail, so this terminates.)
+                    pool_broken = True
+                    self.close()
+                    self._bump("pool_rebuilds")
+                    break
+                futures.append((indices, chunk, attempt, future))
+            queue = queue[len(futures):]
             try:
                 for indices, chunk, attempt, future in futures:
                     if pool_broken:
@@ -684,11 +690,10 @@ class SimEngine:
                 raise
 
         # Last resort: chunks that exhausted their pool attempts run
-        # serially in the caller's process.  The direct runner call
+        # serially in the caller's process.  Calling _run_chunk directly
         # bypasses the worker-side failpoint, mirroring production —
         # whatever kills workers (OOM, a bad cgroup) does not apply to
         # the parent — so a chaos plan with p=1 still makes progress.
-        runner = execute_run_fast if fast else execute_run
         for indices, chunk in serial:
             for index, config in zip(indices, chunk):
                 if index in recorded:
@@ -696,19 +701,8 @@ class SimEngine:
                 if cancel is not None and cancel.is_set():
                     raise RunCancelled("cancelled during serial fallback")
                 recorded.add(index)
-                if obs_trace.recorder() is None:
-                    record(index, runner(config))
-                    continue
-                start_wall = time.time()
-                start = time.perf_counter()
-                result = runner(config)
-                _record_chunk_span({
-                    "start_s": start_wall,
-                    "dur_s": time.perf_counter() - start,
-                    "pid": os.getpid(),
-                    "configs": 1,
-                    "profile": obs_profile.snapshot(reset=True),
-                })
+                (result,), meta = _run_chunk(fast, [config])
+                _record_chunk_span(meta)
                 record(index, result)
 
     @staticmethod

@@ -148,30 +148,30 @@ class ResultStore:
         :meth:`_quarantine`) and reads as a miss, so a damaged entry is
         recomputed and overwritten instead of poisoning the caller.
         """
-        hit = faults.check("store.get")
-        if hit is not None:
-            if hit.action == "slow":
-                time.sleep(hit.delay)
-            elif hit.action == "error":
-                return None  # an unreadable file is a miss, not an error
-        path = self._key_path(key)
-        try:
-            text = path.read_text()
-        except (FileNotFoundError, OSError):
-            return None
-        try:
-            payload = json.loads(text)
-        except ValueError:
-            self._quarantine(path, "unparseable JSON")
-            return None
-        if not isinstance(payload, dict):
-            self._quarantine(path, "not a JSON object")
-            return None
-        stored_digest = payload.get("sha256")
-        if stored_digest is not None and stored_digest != _payload_digest(payload):
-            self._quarantine(path, "digest mismatch")
-            return None
-        return payload
+        with faults.site("store.get", key=key) as hit:
+            if hit is not None:
+                if hit.action == "slow":
+                    time.sleep(hit.delay)
+                elif hit.action == "error":
+                    return None  # an unreadable file is a miss, not an error
+            path = self._key_path(key)
+            try:
+                text = path.read_text()
+            except (FileNotFoundError, OSError):
+                return None
+            try:
+                payload = json.loads(text)
+            except ValueError:
+                self._quarantine(path, "unparseable JSON")
+                return None
+            if not isinstance(payload, dict):
+                self._quarantine(path, "not a JSON object")
+                return None
+            stored_digest = payload.get("sha256")
+            if stored_digest is not None and stored_digest != _payload_digest(payload):
+                self._quarantine(path, "digest mismatch")
+                return None
+            return payload
 
     def get_by_key(self, key: str) -> Optional[RunResult]:
         """The stored result under ``key`` (a :meth:`key_for` digest)."""
@@ -197,39 +197,39 @@ class ResultStore:
         JSON.  The payload carries its own SHA-256 digest for read-side
         verification.
         """
-        payload = {"config": config.to_dict(), "result": result.to_dict()}
-        payload["sha256"] = _payload_digest(payload)
         path = self._path(config)
-        hit = faults.check("store.put")
-        if hit is not None:
-            if hit.action == "slow":
-                time.sleep(hit.delay)
-            elif hit.action == "error":
-                raise OSError(f"injected fault: store.put of {path.name}")
-            elif hit.action == "torn":
-                # A crash mid-write with no atomic rename: the final
-                # path holds half a document.  Reads must quarantine it.
-                text = json.dumps(payload)
-                path.write_text(text[: max(1, len(text) // 2)])
-                return
-            elif hit.action == "corrupt":
-                # Bit-rot: valid JSON whose digest no longer matches.
-                payload["sha256"] = "0" * 64
-        fd, tmp_name = tempfile.mkstemp(
-            dir=str(self.directory), prefix=path.stem, suffix=".tmp"
-        )
-        try:
-            with os.fdopen(fd, "w") as handle:
-                json.dump(payload, handle)
-                handle.flush()
-                os.fsync(handle.fileno())
-            os.replace(tmp_name, path)
-        except BaseException:
+        with faults.site("store.put", key=path.stem) as hit:
+            payload = {"config": config.to_dict(), "result": result.to_dict()}
+            payload["sha256"] = _payload_digest(payload)
+            if hit is not None:
+                if hit.action == "slow":
+                    time.sleep(hit.delay)
+                elif hit.action == "error":
+                    raise OSError(f"injected fault: store.put of {path.name}")
+                elif hit.action == "torn":
+                    # A crash mid-write with no atomic rename: the final
+                    # path holds half a document.  Reads must quarantine it.
+                    text = json.dumps(payload)
+                    path.write_text(text[: max(1, len(text) // 2)])
+                    return
+                elif hit.action == "corrupt":
+                    # Bit-rot: valid JSON whose digest no longer matches.
+                    payload["sha256"] = "0" * 64
+            fd, tmp_name = tempfile.mkstemp(
+                dir=str(self.directory), prefix=path.stem, suffix=".tmp"
+            )
             try:
-                os.unlink(tmp_name)
-            except OSError:
-                pass
-            raise
+                with os.fdopen(fd, "w") as handle:
+                    json.dump(payload, handle)
+                    handle.flush()
+                    os.fsync(handle.fileno())
+                os.replace(tmp_name, path)
+            except BaseException:
+                try:
+                    os.unlink(tmp_name)
+                except OSError:
+                    pass
+                raise
 
     def __contains__(self, config: SimulationConfig) -> bool:
         return self._path(config).exists()

@@ -79,18 +79,6 @@ class TestAttribution:
         execute_run_fast(_config())
         assert profile.cache_depth == 0
 
-    def test_merge_folds_worker_payloads(self):
-        profile = obs_profile.install()
-        execute_run_fast(_config())
-        first = obs_profile.snapshot(reset=True)
-        execute_run_fast(_config())
-        profile.merge(first)
-        merged = profile.as_dict()
-        assert merged["runs"] == 2
-        assert merged["phases"]["cache"]["events"] == (
-            2 * first["phases"]["cache"]["events"]
-        )
-
 
 class TestZeroOverheadGuard:
     def test_armed_results_are_bit_identical_to_disarmed(self):

@@ -4,6 +4,7 @@ the observability endpoints (/v1/trace, /metrics?format=prom)."""
 from __future__ import annotations
 
 import json
+import time
 
 import pytest
 
@@ -41,8 +42,6 @@ def _submit(server, headers=None, benchmark="gcc", instructions=400):
 
 
 def _wait_done(server, job_id, timeout=30.0):
-    import time
-
     deadline = time.monotonic() + timeout
     while time.monotonic() < deadline:
         status, job, _ = server.dispatch("GET", f"/v1/jobs/{job_id}")
@@ -110,14 +109,67 @@ class TestForkWorkerSpans:
             ]
             assert chunks, "no chunk spans recorded"
             assert all(s.trace_id == trace_id for s in chunks)
-            # Worker pids ride in attrs; the parent is the unit.exec span.
+            # Worker pids ride in attrs.  The tree is unit.exec ->
+            # engine.run_many -> engine.chunk.
             unit = next(
                 s for s in server.spans.spans() if s.name == "unit.exec"
             )
+            run_many = next(
+                s for s in server.spans.spans() if s.name == "engine.run_many"
+            )
+            assert run_many.trace_id == trace_id
+            assert run_many.parent_id == unit.span_id
             for chunk in chunks:
-                assert chunk.parent_id == unit.span_id
+                assert chunk.parent_id == run_many.span_id
                 assert chunk.attrs["worker_pid"] > 0
                 assert chunk.attrs["configs"] >= 1
+
+
+class TestProgramLayerSpans:
+    def test_journal_store_and_engine_spans_join_the_job_trace(self, tmp_path):
+        engine = SimEngine(fast=True, store=tmp_path / "store")
+        with ServiceServer(
+            engine=engine, journal=tmp_path / "jobs.wal"
+        ) as server:
+            status, receipt, _ = _submit(server)
+            assert status == 202
+            job = _wait_done(server, receipt["id"])
+            assert job["status"] == "done"
+            # The terminal journal append follows the job's completion.
+            deadline = time.monotonic() + 5.0
+            while time.monotonic() < deadline:
+                kinds = [
+                    s.attrs.get("kind") for s in server.spans.spans()
+                    if s.name == "journal.append"
+                ]
+                if "done" in kinds:
+                    break
+                time.sleep(0.02)
+            spans = [
+                s for s in server.spans.spans() if s.trace_id == job["trace_id"]
+            ]
+        names = [s.name for s in spans]
+        assert names.count("journal.append") == 2
+        assert sorted(
+            s.attrs["kind"] for s in spans if s.name == "journal.append"
+        ) == ["done", "submit"]
+        for name in ("store.get", "store.put", "engine.run_many", "unit.exec",
+                     "engine.chunk", "server.admit", "job.wait"):
+            assert name in names, f"missing span {name}"
+        by_name = {s.name: s for s in spans}
+        by_id = {s.span_id: s for s in spans}
+        assert by_id[by_name["engine.run_many"].parent_id].name == "unit.exec"
+        assert by_id[by_name["store.put"].parent_id].name == "engine.run_many"
+        assert by_id[by_name["engine.chunk"].parent_id].name == "engine.run_many"
+        root = by_name["server.admit"].span_id  # no header: admit is root
+        assert by_name["unit.exec"].parent_id == root
+        assert all(
+            s.parent_id == root for s in spans if s.name == "journal.append"
+        )
+        # Admission looks the unit up in the store inside the job's trace.
+        assert any(
+            s.parent_id == root for s in spans if s.name == "store.get"
+        )
 
 
 class TestTraceEndpoint:

@@ -2,9 +2,13 @@
 
 from __future__ import annotations
 
+from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
+
 import pytest
 
 from repro import faults
+from repro.sim import engine as engine_module
 from repro.sim.config import SimulationConfig
 from repro.sim.engine import SimEngine, execute_run_fast
 
@@ -75,6 +79,31 @@ class TestWorkerCrashRecovery:
     def test_chunk_retries_validation(self):
         with pytest.raises(ValueError):
             SimEngine(chunk_retries=-1)
+
+    def test_pool_broken_while_submitting_is_recovered(self, monkeypatch):
+        # A worker that dies while chunks are still being submitted makes
+        # the next submit raise BrokenProcessPool; that must take the
+        # rebuild-and-requeue path, not escape run_many.
+        class BreaksOnSecondSubmit(ProcessPoolExecutor):
+            submits = 0
+
+            def submit(self, *args, **kwargs):
+                type(self).submits += 1
+                if type(self).submits == 2:
+                    raise BrokenProcessPool("a worker died mid-submission")
+                return super().submit(*args, **kwargs)
+
+        monkeypatch.setattr(engine_module, "ProcessPoolExecutor", BreaksOnSecondSubmit)
+        configs = _configs()
+        expected = _baseline(configs)
+        engine = SimEngine(workers=2, fast=True)
+        try:
+            results = engine.run_many(configs)
+        finally:
+            engine.close()
+        assert [r.to_dict() for r in results] == expected
+        assert engine.stats["pool_rebuilds"] >= 1
+        assert BreaksOnSecondSubmit.submits > len(configs)  # requeued
 
 
 class TestStoreFaultTolerance:

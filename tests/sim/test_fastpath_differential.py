@@ -110,6 +110,30 @@ def test_l1_l2_cross_grid(l1_policy: str, l2_spec: PolicySpec) -> None:
     )
 
 
+@pytest.mark.parametrize("level", ["l1", "l2"])
+@pytest.mark.parametrize("benchmark_name", ["gcc", "art"])
+def test_resize_inside_the_grid(level: str, benchmark_name: str) -> None:
+    # The default interval (50k accesses) never elapses in a 2,500
+    # micro-op run, so the grid above never sees a resize.  A 100-access
+    # interval resizes many times; the result differing from the
+    # default-interval run proves it did.
+    def config(resizable: PolicySpec) -> SimulationConfig:
+        if level == "l1":
+            return SimulationConfig(
+                benchmark=benchmark_name, dcache=resizable, icache=resizable,
+                n_instructions=_INSTRUCTIONS,
+            )
+        return SimulationConfig(
+            benchmark=benchmark_name, dcache="gated", icache="gated",
+            l2=resizable, n_instructions=_INSTRUCTIONS,
+        )
+
+    resizing = config(PolicySpec("resizable", {"interval_accesses": 100}))
+    fast = execute_run_fast(resizing).to_dict()
+    assert fast == execute_run(resizing).to_dict()
+    assert fast != execute_run_fast(config(PolicySpec("resizable"))).to_dict()
+
+
 @pytest.mark.parametrize("l2_subarray_bytes", [4096, 16384])
 def test_l2_subarray_granularity(l2_subarray_bytes: int) -> None:
     assert_identical(

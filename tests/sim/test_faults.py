@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro import faults
+from repro.obs import trace as obs_trace
 
 
 @pytest.fixture(autouse=True)
@@ -40,6 +41,8 @@ class TestSpecGrammar:
             "engine.chunk=hang:delay=60",  # delay above the hard cap
             "engine.chunk",                # missing action
             "seed=x;engine.chunk=crash",   # bad seed
+            "engine.run_many=raise",       # span-only site: no actions
+            "unit.exec=crash",             # span-only site: no actions
         ],
     )
     def test_bad_specs_rejected(self, spec):
@@ -144,3 +147,92 @@ class TestTrip:
             check=True,
         ).stdout.strip()
         assert out == "seed=3;engine.chunk=crash:max=1"
+
+
+class TestSite:
+    """faults.site(): one hook that is both the failpoint and the span."""
+
+    @pytest.fixture(autouse=True)
+    def _clean_tracing(self):
+        obs_trace.clear_recorder()
+        obs_trace.clear_current()
+        yield
+        obs_trace.clear_recorder()
+        obs_trace.clear_current()
+
+    def test_disarmed_site_is_the_shared_idle_object(self):
+        idle = faults.site("store.get", key="k")
+        assert idle is faults.site("journal.append") is faults._IDLE
+        with idle as hit:
+            assert hit is None
+            assert obs_trace.get_current() is None  # nothing bound
+        recorder = obs_trace.install_recorder()
+        assert recorder.spans() == []  # nothing was recorded either
+
+    def test_nested_sites_parent_and_restore_the_context(self):
+        recorder = obs_trace.install_recorder()
+        obs_trace.set_current("t" * 16, "outer")
+        with faults.site("engine.run_many", configs=2) as hit:
+            assert hit is None
+            run_many = obs_trace.get_current()
+            assert run_many[0] == "t" * 16 and run_many[1] != "outer"
+            with faults.site("store.get", key="k"):
+                inner = obs_trace.get_current()
+            assert obs_trace.get_current() == run_many
+        assert obs_trace.get_current() == ("t" * 16, "outer")
+        spans = {span.name: span for span in recorder.spans()}
+        assert spans["store.get"].span_id == inner[1]
+        assert spans["store.get"].parent_id == run_many[1]
+        assert spans["engine.run_many"].span_id == run_many[1]
+        assert spans["engine.run_many"].parent_id == "outer"
+        assert spans["engine.run_many"].attrs == {"configs": 2}
+        assert spans["store.get"].attrs == {"key": "k"}
+
+    def test_explicit_ids_win_over_the_current_span(self):
+        recorder = obs_trace.install_recorder()
+        obs_trace.set_current("a" * 16, "current")
+        with faults.site("journal.append", "b" * 16, "root", job_id="j"):
+            assert obs_trace.get_current()[0] == "b" * 16
+        (span,) = recorder.spans()
+        assert (span.trace_id, span.parent_id) == ("b" * 16, "root")
+        assert obs_trace.get_current() == ("a" * 16, "current")
+
+    def test_exception_records_error_and_restores_the_context(self):
+        recorder = obs_trace.install_recorder()
+        with pytest.raises(KeyError):
+            with faults.site("unit.exec", job_id="j"):
+                raise KeyError("boom")
+        assert obs_trace.get_current() is None
+        (span,) = recorder.spans()
+        assert span.name == "unit.exec"
+        assert span.attrs == {"job_id": "j", "error": "KeyError"}
+        assert span.parent_id is None and len(span.trace_id) == 16
+
+    def test_plan_only_yields_the_hit_and_records_no_span(self):
+        faults.install("store.put=torn:n=2")
+        with faults.site("store.put", key="k") as hit:
+            assert hit is None
+        with faults.site("store.put", key="k") as hit:
+            assert hit.action == "torn"
+            assert obs_trace.get_current() is None  # no span bound
+        assert obs_trace.recorder() is None
+
+    def test_site_checks_exactly_once_like_check(self):
+        # Routing a failpoint through site() must not perturb any seeded
+        # fault schedule: each entry is one check() of the same stream.
+        spec = "seed=9;store.get=error:p=0.5"
+        faults.install(spec)
+        via_check = [faults.check("store.get") is not None for _ in range(30)]
+        faults.install(spec)
+        obs_trace.install_recorder()
+        via_site = []
+        for _ in range(30):
+            with faults.site("store.get") as hit:
+                via_site.append(hit is not None)
+        assert via_site == via_check
+
+    def test_armed_misspelt_site_raises(self):
+        faults.install("engine.chunk=crash")
+        with pytest.raises(ValueError):
+            with faults.site("store.gte"):
+                pass
