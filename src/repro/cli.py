@@ -627,16 +627,9 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
 
 def _cmd_policies(args: argparse.Namespace) -> int:
     if args.json:
-        payload = {}
-        for name in policy_names():
-            info = get_policy_info(name)
-            payload[name] = {
-                "defaults": _jsonify(dict(info.defaults)),
-                "aliases": list(info.aliases),
-                "scheduler_extra_latency": info.scheduler_extra_latency,
-                "description": info.description,
-            }
-        print(json.dumps(payload))
+        from repro.service.server import policies_payload
+
+        print(json.dumps(policies_payload()))
     else:
         for name in policy_names():
             info = get_policy_info(name)

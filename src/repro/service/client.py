@@ -39,6 +39,8 @@ from repro.sim.config import SimulationConfig
 from repro.sim.metrics import RunResult
 from repro.workloads.characteristics import benchmark_names
 
+from .jobs import TERMINAL_STATES
+
 __all__ = [
     "JobFailed",
     "RemoteEngine",
@@ -50,9 +52,6 @@ __all__ = [
 
 #: Never sleep longer than this on one Retry-After / backoff step.
 MAX_BACKOFF_S = 30.0
-
-#: Job states the server will never change again (wire constants).
-_TERMINAL = ("done", "failed", "cancelled", "poisoned")
 
 #: Most recent job-id → trace-id pairs a client remembers.
 _TRACE_MEMORY = 4096
@@ -371,7 +370,7 @@ class ServiceClient:
         deadline = None if timeout is None else time.monotonic() + timeout
         while True:
             job = self.job(job_id)
-            if job["status"] in _TERMINAL:
+            if job["status"] in TERMINAL_STATES:
                 if raise_on_failure and job["status"] != "done":
                     raise JobFailed(job)
                 return job

@@ -32,10 +32,12 @@ the jobs that had not finished.
 
 from __future__ import annotations
 
+import functools
 import re
+import threading
 import uuid
 from dataclasses import dataclass, field, replace
-from typing import Any, Dict, List, Mapping, Optional, Tuple
+from typing import Any, Dict, List, Mapping, Optional, Set
 
 from repro.circuits.technology import get_technology
 from repro.sim.config import SimulationConfig
@@ -57,9 +59,9 @@ JOB_KINDS = ("run", "sweep", "batch")
 
 #: Job states that will never change again.  ``poisoned`` is the
 #: quarantine terminal: a job whose unit kept failing execution after
-#: the scheduler's retry budget — distinct from ``failed`` so operators
-#: (and the chaos driver) can tell a validation failure from a unit the
-#: service gave up retrying.
+#: the scheduler's retry budget.  The service no longer finishes a job
+#: ``failed``; the state stays terminal so that old journals and
+#: clients keep reading it.
 TERMINAL_STATES = frozenset({"done", "failed", "cancelled", "poisoned"})
 
 #: Priorities outside this band are rejected (a runaway client must not
@@ -131,14 +133,21 @@ def _new_job_id() -> str:
     return f"job-{uuid.uuid4().hex[:16]}"
 
 
+#: A runtime field of :class:`Job`: never journaled, ignored by ``==``
+#: and ``repr``.
+_runtime = functools.partial(field, compare=False, repr=False)
+
+
 @dataclass
 class Job:
-    """One admitted job.
+    """One job: its durable request, its lifecycle and its runtime state.
 
-    The dataclass carries only durable fields — everything the journal
-    must reproduce after a restart.  Runtime bookkeeping (unit keys,
-    pending set, cancellation event, timestamps) is attached by the
-    :class:`~repro.service.queue.JobBoard` at admission.
+    The first six fields are durable: :meth:`to_dict` journals exactly
+    these, so a restart rebuilds the same request.  ``status`` and
+    ``error`` are the lifecycle; the journal records their terminal
+    values as events.  The remaining fields are runtime state, set at
+    admission and lost on restart (a replayed job is re-admitted and
+    gets fresh ones); they take no part in equality.
 
     Attributes:
         id: Stable identifier (survives a journal replay).
@@ -147,6 +156,19 @@ class Job:
         labels: Per-config display labels (benchmark names for sweeps).
         priority: Larger runs sooner; ties run in submission order.
         timeout_s: Wall-clock budget from admission; ``None`` = none.
+        status: ``"queued"``, ``"running"`` or one of
+            :data:`TERMINAL_STATES`.
+        error: Why a job finished other than ``done``.
+        unit_keys: Store key per configuration (parallel to
+            ``configs``), set by :meth:`JobBoard.submit`.
+        pending: Unit keys the job still waits on; it finishes
+            ``done`` when this empties.
+        cancel: Set on cancellation or timeout; the engine checks it
+            between configurations and chunks.
+        submitted_at / started_at / finished_at: Wall-clock stamps of
+            admission, first scheduling and the terminal transition.
+        trace_id / root_span_id: The job's trace, minted by the server
+            (or taken from the client's ``X-Repro-Trace`` header).
     """
 
     id: str = field(default_factory=_new_job_id)
@@ -157,6 +179,14 @@ class Job:
     timeout_s: Optional[float] = None
     status: str = "queued"
     error: Optional[str] = None
+    unit_keys: List[str] = _runtime(default_factory=list)
+    pending: Set[str] = _runtime(default_factory=set)
+    cancel: threading.Event = _runtime(default_factory=threading.Event)
+    submitted_at: Optional[float] = _runtime(default=None)
+    started_at: Optional[float] = _runtime(default=None)
+    finished_at: Optional[float] = _runtime(default=None)
+    trace_id: Optional[str] = _runtime(default=None)
+    root_span_id: Optional[str] = _runtime(default=None)
 
     def to_dict(self) -> Dict[str, Any]:
         """Journal representation (round-trips via :meth:`from_dict`)."""
@@ -190,9 +220,7 @@ class Job:
             "priority": self.priority,
             "units": len(self.configs),
             "error": self.error,
-            # Runtime-only (minted at admission, never journaled):
-            # replayed jobs re-mint on re-admission.
-            "trace_id": getattr(self, "trace_id", None),
+            "trace_id": self.trace_id,
         }
 
 

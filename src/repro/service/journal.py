@@ -45,12 +45,9 @@ except ImportError:  # pragma: no cover - non-POSIX
 
 from repro import faults
 
-from .jobs import Job
+from .jobs import TERMINAL_STATES, Job
 
 __all__ = ["JobJournal", "JournalLocked"]
-
-#: Event names that mark a job finished.
-_TERMINAL_EVENTS = frozenset({"done", "failed", "cancelled", "poisoned"})
 
 
 class JournalLocked(RuntimeError):
@@ -117,8 +114,8 @@ class JobJournal:
         into one unparseable record.  The append is a span of the job.
         """
         with faults.site(
-            "journal.append", getattr(job, "trace_id", None),
-            getattr(job, "root_span_id", None), job_id=job.id, kind=event["event"],
+            "journal.append", job.trace_id, job.root_span_id,
+            job_id=job.id, kind=event["event"],
         ) as hit:
             line = json.dumps(event, separators=(",", ":"))
             if hit is not None:
@@ -194,7 +191,7 @@ class JobJournal:
                 except (KeyError, TypeError, ValueError):
                     continue
                 submitted[job.id] = job
-            elif name in _TERMINAL_EVENTS:
+            elif name in TERMINAL_STATES:
                 submitted.pop(event.get("id"), None)
         return list(submitted.values())
 

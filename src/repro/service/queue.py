@@ -31,9 +31,9 @@ from __future__ import annotations
 import heapq
 import threading
 import time
-from collections import OrderedDict
+from collections import OrderedDict, deque
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Set
+from typing import Any, Callable, Deque, Dict, List, Optional, Set
 
 from repro.sim.config import SimulationConfig
 from repro.sim.metrics import RunResult
@@ -42,6 +42,17 @@ from repro.sim.store import ResultStore
 from .jobs import Job, TERMINAL_STATES
 
 __all__ = ["JobBoard", "QueueFull", "SubmitReceipt", "Unit"]
+
+#: Terminal jobs kept for status queries; the earliest-finished is
+#: evicted first.
+RETENTION_JOBS = 1024
+
+#: Completed unit payloads kept in the in-memory LRU.
+RETENTION_RESULTS = 4096
+
+#: Execution failures a unit absorbs, with retries in between, before
+#: it is quarantined and its jobs finish ``poisoned``.
+MAX_UNIT_FAILURES = 3
 
 
 class QueueFull(Exception):
@@ -66,14 +77,10 @@ class Unit:
 
     key: str
     config: SimulationConfig
-    status: str = "pending"  # pending | running | done | failed
-    error: Optional[str] = None
+    status: str = "pending"  # pending | running
     jobs: Set[str] = field(default_factory=set)
     #: Execution failures so far (drives retry-then-quarantine).
     failures: int = 0
-    #: Trace ids of every job that requested this unit (coalesced jobs
-    #: share the execution, so a unit can belong to several traces).
-    trace_ids: Set[str] = field(default_factory=set)
 
 
 @dataclass(frozen=True)
@@ -105,33 +112,35 @@ class SubmitReceipt:
 class JobBoard:
     """Jobs, units and the priority heap, behind one lock.
 
+    Retained jobs live in one table in admission order.  Each job that
+    reaches a terminal state is also appended to a deque, so the live
+    count is a difference of two lengths and eviction takes the
+    earliest-finished job: admission never scans the table.  Up to
+    :data:`RETENTION_JOBS` jobs are kept; live jobs are never evicted.
+
     Args:
         store: Optional result store; completed units fall back to it
             when the in-memory result LRU has evicted them, and results
             already on disk satisfy new units at admission.
         queue_limit: Maximum queued-or-running jobs before admission
             returns :class:`QueueFull`.
-        retention_jobs: Terminal jobs kept for status queries (oldest
-            pruned first).
-        retention_results: Completed unit payloads kept in memory.
     """
 
     def __init__(
         self,
         store: Optional[ResultStore] = None,
         queue_limit: int = 256,
-        retention_jobs: int = 1024,
-        retention_results: int = 4096,
     ) -> None:
         if queue_limit < 1:
             raise ValueError("queue_limit must be at least 1")
         self.store = store
         self.queue_limit = queue_limit
-        self.retention_jobs = retention_jobs
-        self.retention_results = retention_results
         self._lock = threading.RLock()
         self._work = threading.Condition(self._lock)
-        self._jobs: "OrderedDict[str, Job]" = OrderedDict()
+        #: Retained jobs, in admission order.
+        self._jobs: Dict[str, Job] = {}
+        #: Ids of the retained terminal jobs, in completion order.
+        self._terminal: Deque[str] = deque()
         self._units: Dict[str, Unit] = {}
         self._results: "OrderedDict[str, Dict[str, Any]]" = OrderedDict()
         self._heap: List = []
@@ -153,46 +162,32 @@ class JobBoard:
         """
         finished: Optional[Job] = None
         with self._lock:
+            live = self._live_count()
             if self._closed:
-                raise QueueFull(self.depth(), 5.0)
-            live = sum(
-                1 for j in self._jobs.values() if j.status not in TERMINAL_STATES
-            )
+                raise QueueFull(live, 5.0)
             if live >= self.queue_limit:
-                retry = max(1.0, self.depth() * self._unit_seconds)
+                retry = max(1.0, live * self._unit_seconds)
                 raise QueueFull(live, min(retry, 120.0))
             if job.id in self._jobs:
                 raise ValueError(f"duplicate job id {job.id!r}")
 
-            unit_keys = [ResultStore.key_for(config) for config in job.configs]
-            job.unit_keys = unit_keys  # type: ignore[attr-defined]
-            job.pending = set()  # type: ignore[attr-defined]
-            job.cancel = threading.Event()  # type: ignore[attr-defined]
-            job.submitted_at = time.time()  # type: ignore[attr-defined]
-            job.finished_at = None  # type: ignore[attr-defined]
+            job.unit_keys = [ResultStore.key_for(config) for config in job.configs]
+            job.submitted_at = time.time()
             coalesced = cached = 0
-            trace_id = getattr(job, "trace_id", None)
             seen: Set[str] = set()
-            for key, config in zip(unit_keys, job.configs):
+            for key, config in zip(job.unit_keys, job.configs):
                 if key in seen:
                     continue
                 seen.add(key)
                 unit = self._units.get(key)
-                if unit is not None and unit.status in ("pending", "running"):
-                    unit.jobs.add(job.id)
-                    if trace_id:
-                        unit.trace_ids.add(trace_id)
-                    job.pending.add(key)
+                if unit is not None:
                     coalesced += 1
-                    continue
-                if self._result_available(key):
+                elif self._result_available(key):
                     cached += 1
                     continue
-                unit = Unit(key=key, config=config)
+                else:
+                    unit = self._units[key] = Unit(key=key, config=config)
                 unit.jobs.add(job.id)
-                if trace_id:
-                    unit.trace_ids.add(trace_id)
-                self._units[key] = unit
                 job.pending.add(key)
 
             self._jobs[job.id] = job
@@ -207,10 +202,10 @@ class JobBoard:
             receipt = SubmitReceipt(
                 job_id=job.id,
                 status=job.status,
-                unit_keys=unit_keys,
+                unit_keys=job.unit_keys,
                 coalesced=coalesced,
                 cached=cached,
-                queue_depth=self.depth(),
+                queue_depth=self._live_count(),
             )
         if finished is not None:
             self._notify(finished)
@@ -230,21 +225,16 @@ class JobBoard:
     def _remember_result(self, key: str, result: Dict[str, Any]) -> None:
         self._results[key] = result
         self._results.move_to_end(key)
-        while len(self._results) > self.retention_results:
+        while len(self._results) > RETENTION_RESULTS:
             self._results.popitem(last=False)
 
+    def _live_count(self) -> int:
+        return len(self._jobs) - len(self._terminal)
+
     def _prune_jobs(self) -> None:
-        terminal = [
-            job_id
-            for job_id, job in self._jobs.items()
-            if job.status in TERMINAL_STATES
-        ]
-        excess = len(self._jobs) - self.retention_jobs
-        for job_id in terminal:
-            if excess <= 0:
-                break
-            del self._jobs[job_id]
-            excess -= 1
+        """Evict terminal jobs, earliest-finished first, down to the retention."""
+        while len(self._jobs) > RETENTION_JOBS and self._terminal:
+            del self._jobs[self._terminal.popleft()]
 
     def _push(self, job: Job) -> None:
         self._seq += 1
@@ -271,7 +261,7 @@ class JobBoard:
                         continue
                     if job.status == "queued":
                         job.status = "running"
-                        job.started_at = time.time()  # type: ignore[attr-defined]
+                        job.started_at = time.time()
                     return job
                 if self._closed:
                     return None
@@ -286,7 +276,7 @@ class JobBoard:
         """Mark the job's pending units running; return them for execution.
 
         Units already running on behalf of another job are not returned
-        (the job waits for them); units that became done meanwhile are
+        (the job waits for them); units that completed meanwhile are
         resolved on the spot.
         """
         finished: Optional[Job] = None
@@ -294,10 +284,10 @@ class JobBoard:
             if job.status in TERMINAL_STATES:
                 return []
             claimed: List[Unit] = []
-            for key in sorted(job.pending):  # type: ignore[attr-defined]
+            for key in sorted(job.pending):
                 unit = self._units.get(key)
-                if unit is None or unit.status == "done":
-                    job.pending.discard(key)  # type: ignore[attr-defined]
+                if unit is None:
+                    job.pending.discard(key)
                     continue
                 if unit.status == "pending":
                     unit.status = "running"
@@ -324,130 +314,89 @@ class JobBoard:
                 job = self._jobs.get(job_id)
                 if job is None or job.status in TERMINAL_STATES:
                     continue
-                job.pending.discard(key)  # type: ignore[attr-defined]
+                job.pending.discard(key)
                 if not job.pending:
                     self._finish(job, "done")
                     finished.append(job)
         for job in finished:
             self._notify(job)
 
-    def fail_unit(self, key: str, error: str) -> None:
-        """Fail a unit; every attached job fails with its message."""
-        finished: List[Job] = []
-        with self._lock:
-            unit = self._units.pop(key, None)
-            if unit is None:
-                return
-            for job_id in unit.jobs:
-                job = self._jobs.get(job_id)
-                if job is None or job.status in TERMINAL_STATES:
-                    continue
-                self._finish(job, "failed", error=error)
-                finished.append(job)
-            # Other pending units referenced only by the failed jobs are
-            # abandoned work: drop them so the scheduler never runs them.
-            self._drop_orphan_units()
-        for job in finished:
-            self._notify(job)
-
-    def note_unit_failure(
-        self, key: str, error: str, limit: int = 3
-    ) -> Optional[str]:
+    def note_unit_failure(self, key: str, error: str) -> Optional[str]:
         """One execution failure on a running unit: retry or quarantine.
 
-        Below ``limit`` accumulated failures the unit returns to pending
-        and its attached jobs requeue — a transient fault (worker death,
-        injected chaos) re-executes.  At ``limit`` the unit is presumed
-        *poison*: it is dropped and every attached job finishes in the
-        distinct terminal state ``"poisoned"`` carrying the last error,
-        so a config that reliably kills executors cannot pin the
-        scheduler in a retry loop.  Returns ``"retried"``,
-        ``"quarantined"``, or ``None`` when the key is not a running
-        unit (already completed or released).
+        Below :data:`MAX_UNIT_FAILURES` accumulated failures the unit
+        returns to pending and its attached jobs requeue — a transient
+        fault (worker death, injected chaos) re-executes.  At the limit
+        the unit is presumed *poison*: it is dropped and every attached
+        job finishes in the distinct terminal state ``"poisoned"``
+        carrying the last error, so a config that reliably kills
+        executors cannot pin the scheduler in a retry loop.  Returns
+        ``"retried"``, ``"quarantined"``, or ``None`` when the key is
+        not a running unit (already completed or released).
         """
         finished: List[Job] = []
-        outcome: Optional[str] = None
         with self._lock:
             unit = self._units.get(key)
             if unit is None or unit.status != "running":
                 return None
             unit.failures += 1
-            unit.error = error
-            if unit.failures < limit:
-                unit.status = "pending"
-                unit.jobs = {
-                    job_id
-                    for job_id in unit.jobs
-                    if job_id in self._jobs
-                    and self._jobs[job_id].status not in TERMINAL_STATES
-                }
-                if not unit.jobs:
-                    del self._units[key]
-                else:
-                    for job_id in unit.jobs:
-                        job = self._jobs[job_id]
-                        if job.status in ("queued", "running"):
-                            self._push(job)
-                    self._work.notify_all()
-                outcome = "retried"
-            else:
-                del self._units[key]
-                message = (
-                    f"unit {key} quarantined after {unit.failures} "
-                    f"failed executions: {error}"
-                )
-                for job_id in unit.jobs:
-                    job = self._jobs.get(job_id)
-                    if job is None or job.status in TERMINAL_STATES:
-                        continue
-                    self._finish(job, "poisoned", error=message)
-                    finished.append(job)
-                self._drop_orphan_units()
-                outcome = "quarantined"
+            if unit.failures < MAX_UNIT_FAILURES:
+                self._return_to_pending(unit)
+                return "retried"
+            del self._units[key]
+            message = (
+                f"unit {key} quarantined after {unit.failures} "
+                f"failed executions: {error}"
+            )
+            for job_id in unit.jobs:
+                job = self._jobs.get(job_id)
+                if job is None or job.status in TERMINAL_STATES:
+                    continue
+                self._finish(job, "poisoned", error=message)
+                finished.append(job)
+            self._drop_orphan_units()
         for job in finished:
             self._notify(job)
-        return outcome
+        return "quarantined"
 
-    def release_units(self, keys: List[str], *, requeue: bool = True) -> None:
-        """Return running units to pending (a cancelled/aborted execution).
-
-        Jobs still waiting on them are pushed back onto the heap so a
-        later :meth:`pop` re-claims the work.
-        """
+    def release_units(self, keys: List[str]) -> None:
+        """Return running units to pending (a cancelled/aborted execution)."""
         with self._lock:
             for key in keys:
                 unit = self._units.get(key)
-                if unit is None or unit.status != "running":
-                    continue
-                unit.status = "pending"
-                unit.jobs = {
-                    job_id
-                    for job_id in unit.jobs
-                    if job_id in self._jobs
-                    and self._jobs[job_id].status not in TERMINAL_STATES
-                }
-                if not unit.jobs:
-                    del self._units[key]
-                    continue
-                if requeue:
-                    for job_id in unit.jobs:
-                        job = self._jobs[job_id]
-                        if job.status in ("queued", "running"):
-                            self._push(job)
-            if requeue:
-                self._work.notify_all()
+                if unit is not None and unit.status == "running":
+                    self._return_to_pending(unit)
+
+    def _return_to_pending(self, unit: Unit) -> None:
+        """Requeue a running unit for the live jobs still waiting on it.
+
+        Those jobs are pushed back onto the heap so a later :meth:`pop`
+        re-claims the work; a unit no live job waits on is dropped.
+        """
+        unit.status = "pending"
+        unit.jobs = self._live_ids(unit.jobs)
+        if not unit.jobs:
+            del self._units[unit.key]
+            return
+        for job_id in unit.jobs:
+            self._push(self._jobs[job_id])
+        self._work.notify_all()
+
+    def _live_ids(self, job_ids: Set[str]) -> Set[str]:
+        """The ids among ``job_ids`` of retained jobs not yet terminal."""
+        return {
+            job_id
+            for job_id in job_ids
+            if job_id in self._jobs
+            and self._jobs[job_id].status not in TERMINAL_STATES
+        }
 
     def _drop_orphan_units(self) -> None:
-        live = {
-            job_id
-            for job_id, job in self._jobs.items()
-            if job.status not in TERMINAL_STATES
-        }
-        for key in list(self._units):
-            unit = self._units[key]
+        """Detach terminal jobs from pending units; drop units left with none."""
+        for key, unit in list(self._units.items()):
             if unit.status != "pending":
                 continue
-            unit.jobs &= live
+            unit.jobs = self._live_ids(unit.jobs)
             if not unit.jobs:
                 del self._units[key]
 
@@ -471,7 +420,7 @@ class JobBoard:
                 return None
             if job.status in TERMINAL_STATES:
                 return job
-            job.cancel.set()  # type: ignore[attr-defined]
+            job.cancel.set()
             self._finish(job, "cancelled")
             finished = job
             self._drop_orphan_units()
@@ -493,7 +442,8 @@ class JobBoard:
     def _finish(self, job: Job, status: str, error: Optional[str] = None) -> None:
         job.status = status
         job.error = error
-        job.finished_at = time.time()  # type: ignore[attr-defined]
+        job.finished_at = time.time()
+        self._terminal.append(job.id)
 
     def _notify(self, job: Job) -> None:
         hook = self.on_job_finished
@@ -512,9 +462,7 @@ class JobBoard:
     def depth(self) -> int:
         """Jobs admitted but not yet terminal."""
         with self._lock:
-            return sum(
-                1 for job in self._jobs.values() if job.status not in TERMINAL_STATES
-            )
+            return self._live_count()
 
     def pending_units(self) -> int:
         with self._lock:
@@ -556,31 +504,28 @@ class JobBoard:
                 return payload["result"]
         return None
 
-    def job_payload(self, job_id: str, include_results: bool = True) -> Optional[Dict[str, Any]]:
+    def job_payload(self, job_id: str) -> Optional[Dict[str, Any]]:
         """The full status document for ``GET /v1/jobs/<id>``."""
         with self._lock:
             job = self._jobs.get(job_id)
             if job is None:
                 return None
-            unit_keys = list(getattr(job, "unit_keys", []))
-            pending = set(getattr(job, "pending", ()))
+            unit_keys = list(job.unit_keys)
+            pending = set(job.pending)
             payload: Dict[str, Any] = job.summary()
             payload["labels"] = list(job.labels)
             payload["unit_keys"] = unit_keys
             payload["pending_units"] = len(pending)
-            payload["submitted_at"] = getattr(job, "submitted_at", None)
-            payload["finished_at"] = getattr(job, "finished_at", None)
-            payload["trace_id"] = getattr(job, "trace_id", None)
-        if include_results:
-            results: Dict[str, Any] = {}
-            if job.status != "failed":
-                for key in unit_keys:
-                    if key in results or key in pending:
-                        continue
-                    result = self.result_payload(key)
-                    if result is not None:
-                        results[key] = result
-            payload["results"] = results
+            payload["submitted_at"] = job.submitted_at
+            payload["finished_at"] = job.finished_at
+        results: Dict[str, Any] = {}
+        for key in unit_keys:
+            if key in results or key in pending:
+                continue
+            result = self.result_payload(key)
+            if result is not None:
+                results[key] = result
+        payload["results"] = results
         return payload
 
     # ------------------------------------------------------------------

@@ -21,8 +21,9 @@ Per-job control:
 * **failure** — an execution error returns the claimed units to
   pending and requeues their jobs (the engine already absorbs worker
   crashes internally, so an error reaching the scheduler is unusual);
-  a unit that keeps failing is *quarantined* after ``max_unit_failures``
-  attempts — its jobs finish in the distinct terminal state
+  a unit that keeps failing is *quarantined* after
+  :data:`~repro.service.queue.MAX_UNIT_FAILURES` attempts — its jobs
+  finish in the distinct terminal state
   ``"poisoned"`` with the last error's message — so a poison
   configuration cannot pin the scheduler in a retry loop.  The
   scheduler thread itself never dies.
@@ -51,27 +52,17 @@ __all__ = ["Scheduler"]
 
 
 class Scheduler:
-    """Single executor thread between the board and the engine pool.
-
-    Args:
-        max_unit_failures: Execution failures a unit absorbs (with
-            retries in between) before it is quarantined and its jobs
-            finish ``poisoned``.
-    """
+    """Single executor thread between the board and the engine pool."""
 
     def __init__(
         self,
         board: JobBoard,
         engine: SimEngine,
         telemetry: Optional[Telemetry] = None,
-        max_unit_failures: int = 3,
     ) -> None:
-        if max_unit_failures < 1:
-            raise ValueError("max_unit_failures must be at least 1")
         self.board = board
         self.engine = engine
         self.telemetry = telemetry
-        self.max_unit_failures = max_unit_failures
         self._thread: Optional[threading.Thread] = None
         self._stop = threading.Event()
         self._current_lock = threading.Lock()
@@ -98,7 +89,7 @@ class Scheduler:
             with self._current_lock:
                 job = self._current
             if job is not None:
-                job.cancel.set()  # type: ignore[attr-defined]
+                job.cancel.set()
             thread.join(5.0)
         self._thread = None
 
@@ -117,11 +108,10 @@ class Scheduler:
                     self._current = None
 
     def _execute(self, job: Job) -> None:
-        cancel: threading.Event = job.cancel  # type: ignore[attr-defined]
+        cancel = job.cancel
         timer: Optional[threading.Timer] = None
         if job.timeout_s is not None:
-            elapsed = time.time() - getattr(job, "submitted_at", time.time())
-            remaining = job.timeout_s - elapsed
+            remaining = job.timeout_s - (time.time() - job.submitted_at)
             if remaining <= 0:
                 cancel.set()
             else:
@@ -129,21 +119,17 @@ class Scheduler:
                 timer.daemon = True
                 timer.start()
         # The queue-wait span: submission to this claim.  Both ends come
-        # from the board's own wall-clock stamps, so the span is exact
-        # even when the scheduler was busy with earlier jobs.
-        submitted_at = getattr(job, "submitted_at", None)
-        started_at = getattr(job, "started_at", None)
-        trace_id = getattr(job, "trace_id", None)
-        root_span = getattr(job, "root_span_id", None)
-        if submitted_at is not None and started_at is not None:
-            wait = max(0.0, started_at - submitted_at)
-            if self.telemetry is not None:
-                self.telemetry.observe_queue_wait(wait)
-            obs_trace.record_span(
-                "job.wait", submitted_at, wait,
-                trace_id=trace_id, parent_id=root_span,
-                attrs={"job_id": job.id},
-            )
+        # from the board's own wall-clock stamps (every popped job has
+        # both), so the span is exact even when the scheduler was busy
+        # with earlier jobs.
+        wait = max(0.0, job.started_at - job.submitted_at)
+        if self.telemetry is not None:
+            self.telemetry.observe_queue_wait(wait)
+        obs_trace.record_span(
+            "job.wait", job.submitted_at, wait,
+            trace_id=job.trace_id, parent_id=job.root_span_id,
+            attrs={"job_id": job.id},
+        )
         try:
             if cancel.is_set():
                 self.board.finish_cancelled(job)
@@ -161,12 +147,12 @@ class Scheduler:
     def _run_units(self, job: Job, units: List[Unit], cancel: threading.Event) -> None:
         configs = [unit.config for unit in units]
         started = time.monotonic()
-        trace_id = getattr(job, "trace_id", None)
+        trace_id = job.trace_id
         try:
             # The unit.exec span is the thread's current span inside the
             # block, so the engine's spans parent themselves to it.
             with faults.site(
-                "unit.exec", trace_id, getattr(job, "root_span_id", None),
+                "unit.exec", trace_id, job.root_span_id,
                 job_id=job.id, units=len(units),
             ):
                 # The scheduler.unit failpoint models executor death
@@ -190,9 +176,7 @@ class Scheduler:
             message = f"{type(error).__name__}: {error}"
             retried = quarantined = 0
             for unit in units:
-                outcome = self.board.note_unit_failure(
-                    unit.key, message, limit=self.max_unit_failures
-                )
+                outcome = self.board.note_unit_failure(unit.key, message)
                 if outcome == "retried":
                     retried += 1
                 elif outcome == "quarantined":

@@ -93,7 +93,7 @@ def policies_payload() -> Dict[str, Any]:
     for name in policy_names():
         info = get_policy_info(name)
         payload[name] = {
-            "defaults": {key: value for key, value in info.defaults.items()},
+            "defaults": dict(info.defaults),
             "aliases": list(info.aliases),
             "scheduler_extra_latency": info.scheduler_extra_latency,
             "description": info.description,
@@ -121,17 +121,10 @@ class ServiceServer:
         port: int = 0,
         queue_limit: int = 256,
         journal: Union[JobJournal, str, Path, None] = None,
-        retention_jobs: int = 1024,
-        retention_results: int = 4096,
     ) -> None:
         self.engine = engine if engine is not None else SimEngine(fast=True)
         self.telemetry = Telemetry()
-        self.board = JobBoard(
-            store=self.engine.store,
-            queue_limit=queue_limit,
-            retention_jobs=retention_jobs,
-            retention_results=retention_results,
-        )
+        self.board = JobBoard(store=self.engine.store, queue_limit=queue_limit)
         self.journal = (
             JobJournal(journal)
             if isinstance(journal, (str, Path))
@@ -151,7 +144,6 @@ class ServiceServer:
         self._httpd = ThreadingHTTPServer((host, port), _make_handler(self))
         self._httpd.daemon_threads = True
         self._serve_thread: Optional[threading.Thread] = None
-        self._replayed = 0
 
     # ------------------------------------------------------------------
     @property
@@ -166,18 +158,9 @@ class ServiceServer:
     def url(self) -> str:
         return f"http://{self.host}:{self.port}"
 
-    @property
-    def replayed_jobs(self) -> int:
-        """Jobs resumed from the journal at the last :meth:`start`."""
-        return self._replayed
-
     # ------------------------------------------------------------------
     def _job_finished(self, job: Job) -> None:
-        latency = None
-        submitted = getattr(job, "submitted_at", None)
-        finished = getattr(job, "finished_at", None)
-        if submitted is not None and finished is not None:
-            latency = max(0.0, finished - submitted)
+        latency = max(0.0, job.finished_at - job.submitted_at)
         self.telemetry.observe_job_finished(job.status, latency)
         if self.journal is not None:
             try:
@@ -190,15 +173,15 @@ class ServiceServer:
             return
         jobs = self.journal.replay()
         self.journal.compact(jobs)
-        self._replayed = 0
+        resumed = 0
         for job in jobs:
             try:
                 self.board.submit(job)
-                self._replayed += 1
+                resumed += 1
             except (QueueFull, ValueError):
                 log.exception("could not resume journaled job %s", job.id)
-        if self._replayed:
-            log.info("resumed %d unfinished job(s) from the journal", self._replayed)
+        if resumed:
+            log.info("resumed %d unfinished job(s) from the journal", resumed)
 
     # ------------------------------------------------------------------
     def start(self) -> "ServiceServer":
@@ -394,10 +377,10 @@ class ServiceServer:
             return 409, {"error": f"duplicate job id {job.id!r}"}, {}
         self.telemetry.bump("jobs_submitted")
         self.telemetry.bump("units_requested", len(job.configs))
-        # Trace identity rides on the job as runtime attributes (never
-        # journaled): the journal and the board record their spans in
-        # it, the scheduler parents its spans to it.  A client-minted
-        # context wins; otherwise the server mints a root of its own.
+        # Trace identity is runtime state of the job (never journaled):
+        # the journal and the board record their spans in it, the
+        # scheduler parents its spans to it.  A client-minted context
+        # wins; otherwise the server mints a root of its own.
         job.trace_id = ctx.trace_id if ctx else obs_trace.new_trace_id()
         job.root_span_id = ctx.span_id if ctx else obs_trace.new_span_id()
         # Write-ahead: the journal must know the job before the client

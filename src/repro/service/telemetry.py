@@ -29,6 +29,9 @@ __all__ = ["HISTOGRAM_BOUNDS", "Histogram", "Telemetry", "percentile"]
 #: Sliding window for "recent" throughput, seconds.
 _RATE_WINDOW_S = 60.0
 
+#: Most recent observations each latency percentile is computed over.
+LATENCY_WINDOW = 1024
+
 #: Shared explicit bucket upper bounds (seconds) for every service
 #: latency histogram; the last implicit bucket is +Inf.
 HISTOGRAM_BOUNDS = (
@@ -81,7 +84,7 @@ class Histogram:
 class Telemetry:
     """Thread-safe service metrics."""
 
-    def __init__(self, latency_window: int = 1024) -> None:
+    def __init__(self) -> None:
         self._lock = threading.Lock()
         self.started_at = time.time()
         self._started_mono = time.monotonic()
@@ -102,9 +105,9 @@ class Telemetry:
             "units_quarantined": 0,
             "journal_errors": 0,
         }
-        self._job_latencies = deque(maxlen=latency_window)
-        self._unit_latencies = deque(maxlen=latency_window)
-        self._wait_latencies = deque(maxlen=latency_window)
+        self._job_latencies = deque(maxlen=LATENCY_WINDOW)
+        self._unit_latencies = deque(maxlen=LATENCY_WINDOW)
+        self._wait_latencies = deque(maxlen=LATENCY_WINDOW)
         self._finish_times = deque(maxlen=4096)
         self._rejection_times = deque(maxlen=4096)
         self._hist_job = Histogram()

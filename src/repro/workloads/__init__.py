@@ -31,16 +31,12 @@ from .grammar import (
     parse_scenario,
     unparse,
 )
-from .olden import make_olden_workload, olden_names
 from .scenarios import (
-    MultiprogrammedWorkload,
-    PhaseShiftingWorkload,
     ScenarioWorkload,
     resolve_workload,
     validate_workload_name,
     workload_identity,
 )
-from .spec2000 import make_spec2000_workload, spec2000_names
 from .synthetic import SyntheticWorkload, WorkloadBase, make_workload
 from .tracefile import (
     TraceFileWorkload,
@@ -71,10 +67,6 @@ __all__ = [
     "HotColdRegion",
     "PointerChase",
     "StridedStream",
-    "make_olden_workload",
-    "olden_names",
-    "make_spec2000_workload",
-    "spec2000_names",
     "SyntheticWorkload",
     "WorkloadBase",
     "make_workload",
@@ -89,8 +81,6 @@ __all__ = [
     "MAX_FUZZ_DEPTH",
     "generate_scenario",
     "parse_fuzz_name",
-    "MultiprogrammedWorkload",
-    "PhaseShiftingWorkload",
     "resolve_workload",
     "validate_workload_name",
     "workload_identity",

@@ -63,8 +63,6 @@ from .trace import MicroOp
 __all__ = [
     "DEFAULT_MIX_QUANTUM",
     "DEFAULT_PHASE_QUANTUM",
-    "MultiprogrammedWorkload",
-    "PhaseShiftingWorkload",
     "ScenarioError",
     "ScenarioWorkload",
     "resolve_workload",
@@ -81,16 +79,6 @@ _MIN_DATA_FOOTPRINT = 8 * 1024
 #: Smallest code footprint ``~scale=`` may shrink a benchmark to (the
 #: code walker needs at least a few basic blocks).
 _MIN_INSTR_FOOTPRINT = 2 * 1024
-
-
-def _child_workloads(names: Sequence[str], seed: int) -> List[SyntheticWorkload]:
-    # Decorrelate the seeds so "mix:gcc+gcc" interleaves two *different*
-    # dynamic instances of the same static program.  Nested expressions
-    # decorrelate identically, by DFS leaf index (see ScenarioWorkload).
-    return [
-        SyntheticWorkload(get_benchmark(name), seed=seed + 101 * index)
-        for index, name in enumerate(names)
-    ]
 
 
 def _scaled_characteristics(
@@ -206,8 +194,7 @@ class ScenarioWorkload(WorkloadBase):
             and reg_slice == N_REGISTERS
         ):
             # Single untranslated program (a pure phases: tree): the
-            # leaf stream passes through untouched, exactly as the flat
-            # PhaseShiftingWorkload always behaved.
+            # leaf stream passes through untouched.
             return stream
         mask = (1 << leaf.slab) - 1
         return _translate_stream(stream, mask, offset, reg_base, reg_slice)
@@ -225,59 +212,6 @@ class ScenarioWorkload(WorkloadBase):
             return _interleave(streams, weights, node.quantum)
 
         return build(self.root)
-
-
-class MultiprogrammedWorkload(ScenarioWorkload):
-    """Round-robin multiprogrammed interleave of several benchmarks.
-
-    The flat ``mix:A+B[@quantum]`` form, kept as a named class for
-    compatibility; its stream is bit-identical to the general
-    :class:`ScenarioWorkload` evaluation of the same expression.
-    """
-
-    def __init__(self, names: Sequence[str], quantum: int = DEFAULT_MIX_QUANTUM,
-                 seed: int = 1) -> None:
-        if len(names) < 2:
-            raise ValueError("mix: scenarios need at least two programs")
-        if quantum < 1:
-            raise ValueError("context-switch quantum must be positive")
-        root = Group(
-            family="mix",
-            children=tuple(Bench(name=name.lower()) for name in names),
-            quantum=quantum,
-        )
-        super().__init__(
-            root, seed=seed, name=f"mix:{'+'.join(names)}@{quantum}"
-        )
-        self.names = tuple(names)
-        self.quantum = quantum
-        self.children = _child_workloads(names, seed)
-
-
-class PhaseShiftingWorkload(ScenarioWorkload):
-    """One program alternating between several benchmarks' behaviours.
-
-    The flat ``phases:A+B[@quantum]`` form (shared address space, full
-    register file), kept as a named class for compatibility.
-    """
-
-    def __init__(self, names: Sequence[str], quantum: int = DEFAULT_PHASE_QUANTUM,
-                 seed: int = 1) -> None:
-        if len(names) < 2:
-            raise ValueError("phases: scenarios need at least two profiles")
-        if quantum < 1:
-            raise ValueError("phase quantum must be positive")
-        root = Group(
-            family="phases",
-            children=tuple(Bench(name=name.lower()) for name in names),
-            quantum=quantum,
-        )
-        super().__init__(
-            root, seed=seed, name=f"phases:{'+'.join(names)}@{quantum}"
-        )
-        self.names = tuple(names)
-        self.quantum = quantum
-        self.children = _child_workloads(names, seed)
 
 
 def _name_family(name: str) -> Optional[str]:
@@ -368,16 +302,6 @@ def validate_workload_name(name: str) -> None:
     get_benchmark(name)
 
 
-def _is_flat(root: Group) -> bool:
-    return all(
-        isinstance(child, Bench)
-        and child.weight == 1
-        and child.scale == 1.0
-        and child.slab is None
-        for child in root.children
-    )
-
-
 def resolve_workload(name: str, seed: int = 1):
     """Resolve a scenario, fuzz or trace name; ``None`` for plain benchmarks.
 
@@ -400,14 +324,5 @@ def resolve_workload(name: str, seed: int = 1):
         root = generate_scenario(fuzz_seed, depth)
         return ScenarioWorkload(root, seed=seed, name=name)
     if family in ("mix", "phases"):
-        root = parse_scenario(name)
-        if _is_flat(root):
-            names = tuple(leaf.name for leaf in iter_leaves(root))
-            cls = (
-                MultiprogrammedWorkload
-                if family == "mix"
-                else PhaseShiftingWorkload
-            )
-            return cls(names, quantum=root.quantum, seed=seed)
-        return ScenarioWorkload(root, seed=seed)
+        return ScenarioWorkload(parse_scenario(name), seed=seed)
     return None

@@ -1,9 +1,10 @@
-"""JobBoard semantics: priority order, coalescing, cancellation, limits."""
+"""JobBoard semantics: priority order, coalescing, cancellation, limits, retention."""
 
 from __future__ import annotations
 
 import pytest
 
+from repro.service import queue
 from repro.service.jobs import Job
 from repro.service.queue import JobBoard, QueueFull
 from repro.sim.config import SimulationConfig
@@ -148,19 +149,27 @@ class TestCancellation:
         assert len(board.claim(again)) == 1
 
 
-class TestFailure:
-    def test_failed_unit_fails_attached_jobs(self):
+class TestRetention:
+    def test_the_job_that_finished_last_is_pruned_last(self, monkeypatch):
+        monkeypatch.setattr(queue, "RETENTION_JOBS", 2)
         board = JobBoard()
-        first = _job("gcc")
-        second = _job("gcc")
-        board.submit(first)
-        board.submit(second)
-        popped = board.pop(timeout=0.1)
-        (unit,) = board.claim(popped)
-        board.fail_unit(unit.key, "worker exploded")
-        assert first.status == "failed" and first.error == "worker exploded"
-        assert second.status == "failed"
+        waited = _job("gcc", instructions=400)
+        board.submit(waited)
+        early = _job("gcc", instructions=401)
+        board.submit(early)
+        board.cancel(early.id)  # finishes first, while `waited` queues
+        (unit,) = board.claim(board.pop(timeout=0.1))
+        board.complete_unit(unit.key, execute_run_fast(unit.config))
+        assert waited.finished_at >= early.finished_at
 
+        board.submit(_job("gcc", instructions=402))  # one over retention
+        # A client still polling the job that just finished must find it.
+        assert board.get(waited.id) is waited
+        assert board.get(early.id) is None
+        assert board.job_payload(waited.id)["status"] == "done"
+
+
+class TestFailure:
     def test_finished_hook_fires_for_every_terminal_job(self, tmp_path):
         store = ResultStore(tmp_path / "store")
         config = SimulationConfig(benchmark="gcc", n_instructions=400)

@@ -74,7 +74,7 @@ class TestExecution:
     def test_persistent_execution_failure_poisons_job_with_message(self, tmp_path):
         engine = SimEngine(fast=True)
         board = JobBoard()
-        scheduler = Scheduler(board, engine, max_unit_failures=3)
+        scheduler = Scheduler(board, engine)
 
         def boom(*args, **kwargs):
             raise RuntimeError("worker exploded")
@@ -95,7 +95,7 @@ class TestExecution:
     def test_transient_execution_failure_retries_to_done(self, tmp_path):
         engine = SimEngine(fast=True, store=tmp_path / "store")
         board = JobBoard(store=engine.store)
-        scheduler = Scheduler(board, engine, max_unit_failures=3)
+        scheduler = Scheduler(board, engine)
         real_run_many = engine.run_many
         calls = []
 

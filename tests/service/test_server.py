@@ -291,7 +291,7 @@ class TestRobustnessMetrics:
         assert job["status"] == "poisoned"
         status, metrics, _ = server.dispatch("GET", "/metrics", None)
         assert metrics["quarantined_units"] == 1
-        # max_unit_failures=3: two retries absorbed before quarantine.
+        # MAX_UNIT_FAILURES=3: two retries absorbed before quarantine.
         assert metrics["retries_total"] >= 2
 
     def test_new_stats_keys_do_not_skew_cache_hit_rate(self, server):

@@ -3,9 +3,8 @@
 The flat ``mix:``/``phases:`` behaviours are pinned by
 ``test_scenarios.py``; these tests pin what nesting adds — seed
 decorrelation by DFS leaf index, program-wise address slabs and register
-slices, pressure-shaping modifiers — and that flat expressions evaluated
-through the general :class:`ScenarioWorkload` machinery are bit-identical
-to their dedicated classes.
+slices, pressure-shaping modifiers — and that flat and nested
+expressions resolve to the same :class:`ScenarioWorkload` class.
 """
 
 from __future__ import annotations
@@ -14,9 +13,7 @@ from itertools import islice
 
 import pytest
 
-from repro.workloads.grammar import parse_scenario
 from repro.workloads.scenarios import (
-    MultiprogrammedWorkload,
     ScenarioWorkload,
     resolve_workload,
     workload_identity,
@@ -122,21 +119,9 @@ class TestModifiers:
 
 
 class TestFlatEquivalence:
-    def test_flat_mix_resolves_to_compat_class(self):
-        workload = resolve_workload("mix:gcc+mcf")
-        assert isinstance(workload, MultiprogrammedWorkload)
-        assert workload.names == ("gcc", "mcf")
-
-    def test_general_evaluation_matches_compat_class(self):
-        root = parse_scenario("mix:gcc+mcf@400")
-        general = ScenarioWorkload(root, seed=2)
-        compat = MultiprogrammedWorkload(["gcc", "mcf"], quantum=400, seed=2)
-        assert _prefix(general, 1000) == _prefix(compat, 1000)
-
     def test_nested_workload_class(self):
-        workload = resolve_workload("mix:(phases:gcc+mcf@500)+vortex")
-        assert isinstance(workload, ScenarioWorkload)
-        assert not isinstance(workload, MultiprogrammedWorkload)
+        for name in ("mix:gcc+mcf", "mix:(phases:gcc+mcf@500)+vortex"):
+            assert type(resolve_workload(name)) is ScenarioWorkload
 
 
 class TestIdentity:

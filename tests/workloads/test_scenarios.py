@@ -8,11 +8,8 @@ import pytest
 
 from repro.sim.config import SimulationConfig
 from repro.sim.engine import execute_run
-from repro.workloads.scenarios import (
-    MultiprogrammedWorkload,
-    PhaseShiftingWorkload,
-    resolve_workload,
-)
+from repro.workloads.grammar import Bench
+from repro.workloads.scenarios import ScenarioWorkload, resolve_workload
 from repro.workloads.synthetic import make_workload
 
 
@@ -29,15 +26,17 @@ def test_plain_names_do_not_resolve_as_scenarios() -> None:
 
 def test_mix_resolution_and_defaults() -> None:
     workload = resolve_workload("mix:gcc+mcf")
-    assert isinstance(workload, MultiprogrammedWorkload)
-    assert workload.names == ("gcc", "mcf")
-    assert workload.quantum == 2000
+    assert isinstance(workload, ScenarioWorkload)
+    assert workload.root.family == "mix"
+    assert workload.root.children == (Bench("gcc"), Bench("mcf"))
+    assert workload.root.quantum == 2000
 
 
 def test_phases_resolution_with_quantum() -> None:
     workload = resolve_workload("phases:gcc+art@750")
-    assert isinstance(workload, PhaseShiftingWorkload)
-    assert workload.quantum == 750
+    assert isinstance(workload, ScenarioWorkload)
+    assert workload.root.family == "phases"
+    assert workload.root.quantum == 750
 
 
 @pytest.mark.parametrize(
@@ -55,8 +54,8 @@ def test_unknown_child_benchmark_raises_key_error() -> None:
 
 
 def test_make_workload_dispatches_scenarios() -> None:
-    assert isinstance(make_workload("mix:gcc+mcf@100"), MultiprogrammedWorkload)
-    assert isinstance(make_workload("phases:gcc+art"), PhaseShiftingWorkload)
+    assert make_workload("mix:gcc+mcf@100").root.family == "mix"
+    assert make_workload("phases:gcc+art").root.family == "phases"
 
 
 # ----------------------------------------------------------------------
@@ -70,7 +69,7 @@ def test_mix_is_deterministic() -> None:
 
 def test_mix_programs_live_in_disjoint_address_spaces() -> None:
     quantum = 250
-    workload = MultiprogrammedWorkload(["gcc", "mcf"], quantum=quantum)
+    workload = resolve_workload(f"mix:gcc+mcf@{quantum}")
     ops = _take(workload, 4 * quantum)
     slabs = {uop.pc >> 40 for uop in ops}
     assert slabs == {0, 1}
@@ -82,7 +81,7 @@ def test_mix_programs_live_in_disjoint_address_spaces() -> None:
 
 
 def test_mix_register_slices_are_disjoint() -> None:
-    workload = MultiprogrammedWorkload(["gcc", "mcf"], quantum=100)
+    workload = resolve_workload("mix:gcc+mcf@100")
     ops = _take(workload, 400)
     for index, uop in enumerate(ops):
         program = (index // 100) % 2
@@ -93,7 +92,7 @@ def test_mix_register_slices_are_disjoint() -> None:
 
 
 def test_mix_of_same_benchmark_decorrelates_instances() -> None:
-    workload = MultiprogrammedWorkload(["gcc", "gcc"], quantum=100)
+    workload = resolve_workload("mix:gcc+gcc@100")
     ops = _take(workload, 200)
     first = [(u.op_type, u.pc & ((1 << 40) - 1)) for u in ops[:100]]
     second = [(u.op_type, u.pc & ((1 << 40) - 1)) for u in ops[100:]]
@@ -102,7 +101,7 @@ def test_mix_of_same_benchmark_decorrelates_instances() -> None:
 
 def test_phases_alternate_between_profiles() -> None:
     quantum = 200
-    workload = PhaseShiftingWorkload(["gcc", "art"], quantum=quantum)
+    workload = resolve_workload(f"phases:gcc+art@{quantum}")
     ops = _take(workload, 4 * quantum)
     gcc_ops = _take(make_workload("gcc", seed=1), quantum)
     assert ops[:quantum] == gcc_ops

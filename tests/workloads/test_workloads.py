@@ -10,11 +10,11 @@ from repro.workloads import (
     HotColdRegion,
     PointerChase,
     StridedStream,
+    OLDEN_BENCHMARKS,
+    SPEC2000_BENCHMARKS,
     benchmark_names,
     get_benchmark,
     make_workload,
-    olden_names,
-    spec2000_names,
 )
 from repro.workloads.trace import EXECUTION_LATENCY, MicroOp, OP_LOAD, OP_TYPES
 import random
@@ -23,8 +23,8 @@ import random
 class TestCharacteristics:
     def test_sixteen_benchmarks_defined(self):
         assert len(benchmark_names()) == 16
-        assert len(spec2000_names()) == 10
-        assert len(olden_names()) == 6
+        assert len(SPEC2000_BENCHMARKS) == 10
+        assert len(OLDEN_BENCHMARKS) == 6
 
     def test_paper_benchmark_names_present(self):
         expected = {
