@@ -335,12 +335,3 @@ class SetAssociativeCache:
         """Close the run at ``end_cycle`` and return the energy breakdown."""
         self.controller.finalize(end_cycle)
         return self.ledger.breakdown(max(1, end_cycle))
-
-    def reset_statistics(self) -> None:
-        """Clear counters (contents and policy state are kept)."""
-        self.accesses = 0
-        self.hits = 0
-        self.misses = 0
-        self.writebacks = 0
-        self.precharge_penalties = 0
-        self.penalty_cycles = 0

@@ -117,11 +117,6 @@ class CacheOrganization:
         return max(1, self.lines_per_subarray // self.associativity)
 
     @property
-    def set_index_bits(self) -> int:
-        """Number of address bits selecting the set."""
-        return int(log2(self.n_sets))
-
-    @property
     def offset_bits(self) -> int:
         """Number of address bits selecting the byte within a line."""
         return int(log2(self.line_bytes))

@@ -81,11 +81,6 @@ class IsolationTransient:
     settling_time_s: float
     samples: List[TransientPoint]
 
-    @property
-    def settles_within_cycle(self) -> bool:
-        """Whether the transient settles within one clock cycle."""
-        return self.settling_time_s <= self.tech.cycle_time_s
-
     def power_at(self, time_s: float) -> float:
         """Normalised power at an arbitrary time (recomputed analytically)."""
         return _normalized_power(self.bitline, self.tech, time_s)

@@ -11,7 +11,7 @@ Reproduce the paper from a shell::
     python -m repro experiment l2sweep --fast
     python -m repro experiment --list
     python -m repro policies
-    python -m repro bench --smoke --output BENCH_smoke.json
+    python -m repro bench --baseline benchmarks/perf_smoke_baseline.json
     python -m repro trace record --benchmark gcc --out gcc.trace.gz
     python -m repro run --benchmark trace:gcc.trace.gz
     python -m repro run --benchmark "mix:(phases:gcc+mcf@5000)*2+vortex@800"
@@ -245,7 +245,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     bench = subparsers.add_parser(
         "bench",
-        help="run the performance harness and write a BENCH_*.json artifact",
+        help="gate the fast path: time it against the reference loop, "
+        "check identity, compare speedups with a baseline",
     )
     add_bench_arguments(bench)
 

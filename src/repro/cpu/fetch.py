@@ -59,11 +59,6 @@ class FetchEngine:
 
     # ------------------------------------------------------------------
     @property
-    def stalled_for_redirect(self) -> bool:
-        """Whether fetch is parked waiting for a mispredicted branch."""
-        return self._waiting_redirect
-
-    @property
     def exhausted(self) -> bool:
         """Whether the workload stream has ended."""
         return self._exhausted

@@ -83,13 +83,6 @@ class CacheEnergyReport:
         return self.l2.relative_discharge
 
     @property
-    def l2_discharge_savings(self) -> float:
-        """Fraction of L2 bitline discharge eliminated (0 without an L2)."""
-        if self.l2 is None:
-            return 0.0
-        return self.l2.discharge_savings
-
-    @property
     def l2_overall_savings(self) -> float:
         """L2 total-energy savings relative to the static-pull-up cache."""
         if self.l2 is None:

@@ -12,13 +12,11 @@ accesses concentrate on hot subarrays.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
-from repro.cache.subarray import SubarrayTracker
 from repro.core.registry import PolicySpec
 from repro.sim.config import SimulationConfig
 from repro.sim.engine import SimEngine
-from repro.sim.metrics import RunResult
 
 from .report import format_series
 
@@ -65,12 +63,6 @@ class Figure5Result:
     dcache: Dict[str, Dict[int, float]]
     icache: Dict[str, Dict[int, float]]
     thresholds: Tuple[int, ...]
-
-    def hot_access_fraction(self, benchmark: str, cache: str = "dcache",
-                            threshold: int = 100) -> float:
-        """Fraction of accesses to subarrays hotter than ``1/threshold``."""
-        table = self.dcache if cache == "dcache" else self.icache
-        return table[benchmark][threshold]
 
 
 def figure5(

@@ -1,7 +1,7 @@
 """Plain-text table formatting for experiment outputs.
 
 Every experiment module returns structured data; these helpers render that
-data as the fixed-width text tables the benchmark harness prints, in the
+data as the fixed-width text tables ``repro experiment`` prints, in the
 same rows/series layout as the corresponding table or figure in the paper.
 """
 

@@ -23,8 +23,7 @@ split):
 * :mod:`~repro.loadgen.runner` — the open-loop and closed-loop
   drivers, per-request outcomes, saturation sweeps, and the sampled
   byte-identity check against a local engine;
-* :mod:`~repro.loadgen.report` — human-readable curves and the
-  ``loadgen`` section of the ``repro bench --service`` artifact;
+* :mod:`~repro.loadgen.report` — human-readable runs and curves;
 * :mod:`~repro.loadgen.cli` — the ``repro loadgen`` subcommand.
 """
 

@@ -1,38 +1,16 @@
-"""Loadgen reporting: human-readable curves and the bench artifact section.
+"""Loadgen reporting: human-readable runs and saturation curves.
 
-Two consumers share this module:
-
-* ``repro loadgen`` renders single runs and ``--sweep`` saturation
-  curves as text (or emits the same rows as JSON);
-* ``repro bench --service`` calls :func:`bench_loadgen_section` to
-  embed a small saturation curve — measured against an in-process
-  :class:`~repro.service.server.ServiceServer` over real HTTP — into
-  the ``loadgen`` section of the ``repro-bench/pr6`` artifact, which
-  is what makes service traffic a *regression-gated* workload.
+``repro loadgen`` renders single runs and ``--sweep`` saturation curves
+as text with these helpers (or emits the same rows as JSON).
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Optional, Sequence
+from typing import Optional, Sequence
 
-from repro.sim.engine import SimEngine
+from .runner import LoadReport
 
-from .base import PoissonArrivals, parse_rate_schedule
-from .runner import LoadReport, LoadRunner, saturation_sweep
-from .synthetic import MixEngine, parse_mix
-
-__all__ = ["bench_loadgen_section", "format_curve", "format_report"]
-
-#: Offered rates of the bench artifact's saturation curve (jobs/sec).
-BENCH_RATES = (4.0, 8.0, 16.0, 32.0)
-
-#: The bench curve's mix: run payloads across benchmarks x thresholds,
-#: wide enough that points do not trivially collapse onto the result LRU.
-BENCH_MIX = (
-    "gcc/gated:threshold=100,gcc/gated:threshold=200,"
-    "art/gated:threshold=150,art/gated:threshold=250,"
-    "gcc+art/gated"
-)
+__all__ = ["format_curve", "format_report"]
 
 
 def _fmt_ms(seconds: Optional[float]) -> str:
@@ -101,63 +79,3 @@ def format_curve(reports: Sequence[LoadReport]) -> str:
             + str(row["identity"]["ok"])
         )
     return "\n".join(lines)
-
-
-def bench_loadgen_section(
-    instructions: int,
-    rates: Sequence[float] = BENCH_RATES,
-    duration: float = 2.5,
-    seed: int = 1,
-    verify_sample: int = 2,
-    echo: Callable[[str], None] = print,
-) -> Dict[str, Any]:
-    """Measure a saturation curve against an in-process service.
-
-    Boots a :class:`~repro.service.server.ServiceServer` on an
-    ephemeral port, sweeps the offered rates open-loop (Poisson
-    arrivals over the :data:`BENCH_MIX` payload mix), verifies sampled
-    results byte-identically against a local engine, and returns the
-    ``loadgen`` section of the bench artifact.
-    """
-    from repro.service.server import ServiceServer
-
-    mix = parse_mix(BENCH_MIX, instructions=instructions)
-    local = SimEngine(fast=True)
-    server = ServiceServer(engine=SimEngine(fast=True)).start()
-    try:
-        runner = LoadRunner(server.url)
-
-        def make_engine(rate: float) -> MixEngine:
-            return MixEngine(
-                mix, PoissonArrivals(parse_rate_schedule(str(rate)), seed=seed),
-                seed=seed,
-            )
-
-        reports = saturation_sweep(
-            runner,
-            make_engine,
-            rates,
-            duration,
-            verify_sample=verify_sample,
-            engine=local,
-            echo=echo,
-        )
-    finally:
-        server.stop()
-        local.close()
-    points: List[Dict[str, Any]] = [report.to_dict() for report in reports]
-    identity_values = [
-        point["identity"]["ok"] for point in points
-        if point["identity"]["ok"] is not None
-    ]
-    return {
-        "mix": mix.describe(),
-        "arrivals": "poisson",
-        "seed": seed,
-        "duration_s": duration,
-        "points": points,
-        "peak_achieved_per_s": max(
-            (point["achieved_per_s"] for point in points), default=0.0
-        ),
-        "identical": bool(identity_values) and all(identity_values),
-    }

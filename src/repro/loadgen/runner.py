@@ -31,8 +31,7 @@ concurrency.
 
 :func:`saturation_sweep` runs one open-loop point per offered rate and
 returns the curve (offered vs achieved jobs/sec, latency percentiles,
-429 rate) that ``repro bench --service`` and the ``repro loadgen
---sweep`` CLI plot.
+429 rate) that the ``repro loadgen --sweep`` CLI plots.
 """
 
 from __future__ import annotations

@@ -40,10 +40,9 @@ policy/benchmark/node → 422 with the registry's message; queue full →
 responses are JSON.
 
 The HTTP handlers only parse and serialise; every decision lives in
-:meth:`ServiceServer.dispatch`, which tests (and the in-process bench
-mode) call directly.  Shutdown is a graceful drain: stop accepting,
-let the in-flight execution finish (bounded), journal everything, shut
-the engine pool down.
+:meth:`ServiceServer.dispatch`, which tests call directly.  Shutdown
+is a graceful drain: stop accepting, let the in-flight execution
+finish (bounded), journal everything, shut the engine pool down.
 """
 
 from __future__ import annotations
@@ -108,7 +107,7 @@ class ServiceServer:
         engine: The engine executing every unit (its worker pool, LRU,
             result store and fast/reference setting are the service's).
         host / port: Bind address; port ``0`` picks an ephemeral port
-            (tests and the bench harness use this).
+            (tests and ``perfbench/`` use this).
         queue_limit: Live jobs admitted before 429.
         journal: Write-ahead journal path (or instance); ``None``
             disables persistence across restarts.

@@ -60,6 +60,13 @@ __all__ = [
     "execute_run_fast",
 ]
 
+#: Capacity of each engine's in-memory LRU result cache.
+MAX_CACHED_RUNS = 1024
+
+#: How many times a failed parallel chunk is resubmitted to a (rebuilt,
+#: if broken) pool before it degrades to serial in-process execution.
+CHUNK_RETRIES = 2
+
 
 class RunCancelled(Exception):
     """A :meth:`SimEngine.run_many` call was cancelled via its event.
@@ -247,7 +254,6 @@ class SimEngine:
     """Run simulations with caching, persistence and parallelism.
 
     Args:
-        max_cached_runs: Capacity of the in-memory LRU result cache.
         workers: Default process count for :meth:`run_many` /
             :meth:`sweep`; ``1`` means serial in-process execution.
         store: Optional on-disk result store (or a directory path for
@@ -257,30 +263,21 @@ class SimEngine:
             reference cycle loop.  Results are bit-identical (the
             differential suite enforces this), so fast and reference
             runs share cache entries and store records.
-        chunk_retries: How many times a failed parallel chunk is
-            resubmitted to a (rebuilt, if broken) pool before it
-            degrades to serial in-process execution.  ``0`` keeps the
-            old behaviour: any worker failure falls straight to serial.
+
+    The result cache holds :data:`MAX_CACHED_RUNS` runs, and a failed
+    parallel chunk is retried :data:`CHUNK_RETRIES` times.
     """
 
     def __init__(
         self,
-        max_cached_runs: int = 1024,
         workers: int = 1,
         store: Optional[Union[ResultStore, str, Path]] = None,
         fast: bool = False,
-        chunk_retries: int = 2,
     ) -> None:
-        if max_cached_runs < 1:
-            raise ValueError("max_cached_runs must be at least 1")
         if workers < 1:
             raise ValueError("workers must be at least 1")
-        if chunk_retries < 0:
-            raise ValueError("chunk_retries must be non-negative")
-        self.max_cached_runs = max_cached_runs
         self.workers = workers
         self.fast = fast
-        self.chunk_retries = chunk_retries
         self.store = ResultStore(store) if isinstance(store, (str, Path)) else store
         self._cache: "OrderedDict[Tuple, RunResult]" = OrderedDict()
         self._lock = threading.Lock()
@@ -421,7 +418,7 @@ class SimEngine:
         with self._lock:
             self._cache[key] = result
             self._cache.move_to_end(key)
-            while len(self._cache) > self.max_cached_runs:
+            while len(self._cache) > MAX_CACHED_RUNS:
                 self._cache.popitem(last=False)
 
     # ------------------------------------------------------------------
@@ -557,7 +554,7 @@ class SimEngine:
         Worker failures degrade gracefully, per chunk: a chunk whose
         task raised — or that was in flight when the pool broke (a
         worker SIGKILLed, OOM-killed, or crashed mid-chunk) — is
-        resubmitted to a fresh pool up to ``chunk_retries`` times
+        resubmitted to a fresh pool up to :data:`CHUNK_RETRIES` times
         (``stats["chunk_retries"]`` / ``stats["pool_rebuilds"]`` count
         the recoveries), and only a chunk that keeps failing runs
         serially in-process as the last resort.  One bad chunk
@@ -582,7 +579,7 @@ class SimEngine:
                 _record_chunk_span(meta)
 
         # (indices, chunk, attempt): attempt counts pool submissions.
-        max_attempts = self.chunk_retries + 1
+        max_attempts = CHUNK_RETRIES + 1
         queue = [
             (indices, chunk, 1) for indices, chunk in self._make_chunks(configs, workers)
         ]

@@ -10,9 +10,8 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Mapping, Optional
+from typing import Any, Dict, List, Mapping
 
-from repro.cache.energy_accounting import EnergyBreakdown
 from repro.cpu.stats import PipelineStats
 from repro.energy.cache_energy import CacheEnergyReport
 
@@ -78,21 +77,6 @@ class RunResult:
     def ipc(self) -> float:
         """Committed instructions per cycle."""
         return self.pipeline.ipc
-
-    @property
-    def dcache_breakdown(self) -> EnergyBreakdown:
-        """L1D energy breakdown."""
-        return self.energy.dcache
-
-    @property
-    def icache_breakdown(self) -> EnergyBreakdown:
-        """L1I energy breakdown."""
-        return self.energy.icache
-
-    @property
-    def l2_breakdown(self) -> Optional[EnergyBreakdown]:
-        """L2 energy breakdown (``None`` on pre-L2 results)."""
-        return self.energy.l2
 
     def summary(self) -> str:
         """One-line human-readable summary.

@@ -30,8 +30,8 @@ from repro.experiments import (
 from repro.experiments.figure8 import figure8
 from repro.experiments.figure9 import figure9
 
-#: A small, fast benchmark subset used to keep these tests quick; the full
-#: sixteen-benchmark sweeps run in the benchmark harness.
+#: A small, fast benchmark subset used to keep these tests quick; the
+#: paper-scale checks live in ``test_paper_shape.py``.
 FAST_BENCHMARKS = ["gcc", "treeadd"]
 FAST_INSTRUCTIONS = 4_000
 
@@ -67,6 +67,7 @@ class TestStaticTables:
         rows = dict(table2_rows())
         assert rows["Issue & decode"] == "8 instructions per cycle"
         assert "32K" in rows["L1 d-cache"]
+        assert "32K" in rows["L1 i-cache"]
         assert "512K" in rows["L2 unified cache"]
         assert "Table 2" in format_table2()
 
@@ -79,6 +80,12 @@ class TestStaticTables:
         rows = table3_rows()
         assert len(rows) == 8
         assert {row.subarray_bytes for row in rows} == {1024, 4096}
+
+    def test_table3_matches_the_paper_at_180nm_1kb(self):
+        rows = {(r.subarray_bytes, r.feature_size_nm): r for r in table3_rows()}
+        anchor = rows[(1024, 180)]
+        assert 0.35 <= anchor.worst_case_pull_up_ns <= 0.45
+        assert 0.18 <= anchor.final_decode_ns <= 0.22
 
 
 class TestCircuitFigures:

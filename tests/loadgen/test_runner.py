@@ -11,7 +11,7 @@ from repro.loadgen.base import (
     take_requests,
 )
 from repro.loadgen.replay import ReplayEngine, write_session
-from repro.loadgen.report import bench_loadgen_section, format_curve, format_report
+from repro.loadgen.report import format_curve, format_report
 from repro.loadgen.runner import LoadRunner, saturation_sweep
 from repro.loadgen.synthetic import MixEngine, parse_mix
 
@@ -116,16 +116,6 @@ class TestSaturationSweep:
         assert all(r.outcomes == [] for r in reports)
         table = format_curve(reports)
         assert table.count("\n") == 4  # header + one row per point
-
-    def test_bench_section_shape(self):
-        section = bench_loadgen_section(
-            INSTRUCTIONS, rates=(3.0, 6.0), duration=0.6, verify_sample=1,
-            echo=lambda line: None,
-        )
-        assert section["arrivals"] == "poisson"
-        assert len(section["points"]) == 2
-        assert section["identical"] is True
-        assert section["peak_achieved_per_s"] > 0
 
 
 class TestReportFormatting:

@@ -10,6 +10,7 @@ import pytest
 
 from repro.core.registry import PolicySpec
 from repro.sim import ResultStore, SimEngine, SimulationConfig
+from repro.sim import engine as engine_module
 
 
 def _tiny(benchmark="gcc", n=1_000, **kwargs):
@@ -24,8 +25,9 @@ class TestEngineCache:
         assert engine.stats["computed"] == 1
         assert engine.stats["memory_hits"] == 1
 
-    def test_cache_is_bounded(self):
-        engine = SimEngine(max_cached_runs=3)
+    def test_cache_is_bounded(self, monkeypatch):
+        monkeypatch.setattr(engine_module, "MAX_CACHED_RUNS", 3)
+        engine = SimEngine()
         benchmarks = ["gcc", "mesa", "art", "equake", "vpr"]
         for name in benchmarks:
             engine.run(_tiny(name, n=600))
@@ -61,8 +63,6 @@ class TestEngineCache:
         assert len(SimEngine()) == 0
 
     def test_constructor_validation(self):
-        with pytest.raises(ValueError):
-            SimEngine(max_cached_runs=0)
         with pytest.raises(ValueError):
             SimEngine(workers=0)
 

@@ -59,15 +59,14 @@ class TestWorkerCrashRecovery:
         assert [r.to_dict() for r in results] == expected
         assert engine.stats["chunk_retries"] >= 1
 
-    def test_certain_crash_falls_back_to_serial_execution(self, tmp_path):
+    def test_certain_crash_falls_back_to_serial_execution(self, tmp_path, monkeypatch):
         # With the failpoint firing on every worker-side chunk, the pool
         # can never make progress; the engine must exhaust its bounded
         # retries and still complete via the in-process serial fallback.
+        monkeypatch.setattr(engine_module, "CHUNK_RETRIES", 1)
         configs = _configs(("gcc", "art"))
         expected = _baseline(configs)
-        engine = SimEngine(
-            workers=2, fast=True, store=tmp_path / "store", chunk_retries=1
-        )
+        engine = SimEngine(workers=2, fast=True, store=tmp_path / "store")
         try:
             faults.install("engine.chunk=crash")  # p=1, uncapped
             results = engine.run_many(configs)
@@ -75,10 +74,6 @@ class TestWorkerCrashRecovery:
             faults.clear()
             engine.close()
         assert [r.to_dict() for r in results] == expected
-
-    def test_chunk_retries_validation(self):
-        with pytest.raises(ValueError):
-            SimEngine(chunk_retries=-1)
 
     def test_pool_broken_while_submitting_is_recovered(self, monkeypatch):
         # A worker that dies while chunks are still being submitted makes
