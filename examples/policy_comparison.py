@@ -32,7 +32,7 @@ def main() -> None:
     benchmarks = sys.argv[1:] or ["gcc", "mesa", "health"]
     n_instructions = 15_000
 
-    engine = SimEngine()
+    engine = SimEngine(workers=4)
     for benchmark in benchmarks:
         configs = [
             SimulationConfig(
@@ -44,7 +44,7 @@ def main() -> None:
             )
             for dcache_policy, icache_policy in POLICIES
         ]
-        results = engine.run_many(configs, workers=min(4, len(configs)))
+        results = engine.run_many(configs)
         baseline = results[0]
         rows = []
         for (dcache_policy, _), result in zip(POLICIES, results):

@@ -24,7 +24,7 @@ def main() -> None:
     benchmarks = sys.argv[1:] or ["gcc", "treeadd"]
     n_instructions = 12_000
 
-    engine = SimEngine()
+    engine = SimEngine(workers=4)
     for benchmark in benchmarks:
         configs = [
             SimulationConfig(
@@ -37,7 +37,7 @@ def main() -> None:
             )
             for size in SUBARRAY_SIZES
         ]
-        results = engine.run_many(configs, workers=min(4, len(configs)))
+        results = engine.run_many(configs)
         rows = []
         for size, result in zip(SUBARRAY_SIZES, results):
             label = f"{size // 1024}KB" if size >= 1024 else f"{size}B"

@@ -64,7 +64,7 @@ def circuit_trends() -> None:
 
 
 def architectural_consequence(benchmark: str) -> None:
-    engine = SimEngine()
+    engine = SimEngine(workers=4)
     configs = [
         SimulationConfig(
             benchmark=benchmark,
@@ -75,7 +75,7 @@ def architectural_consequence(benchmark: str) -> None:
         )
         for nm in available_nodes()
     ]
-    results = engine.run_many(configs, workers=min(4, len(configs)))
+    results = engine.run_many(configs)
     rows = []
     for nm, result in zip(available_nodes(), results):
         rows.append(

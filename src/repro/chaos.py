@@ -47,7 +47,6 @@ from typing import Callable, Dict, List, Optional
 from . import faults
 from .sim.config import SimulationConfig
 from .sim.engine import SimEngine, execute_run_fast
-from .sim.store import ResultStore
 
 __all__ = [
     "DEFAULT_CHAOS_INSTRUCTIONS",
@@ -199,7 +198,7 @@ def _baseline(configs: List[SimulationConfig]) -> Dict[str, dict]:
     """Fault-free expected results, keyed like the service keys units."""
     payloads: Dict[str, dict] = {}
     for config in configs:
-        key = ResultStore.key_for(config)
+        key = config.cache_key()
         if key not in payloads:
             payloads[key] = execute_run_fast(config).to_dict()
     return payloads

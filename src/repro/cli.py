@@ -534,11 +534,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     benchmarks = _parse_benchmarks(args.benchmarks)
     _validate_user_input(benchmarks, args.feature_size)
     engine = _remote_engine(args) if args.server else _make_engine(args)
-    results = engine.sweep(
-        _make_config(args, benchmark="gcc"),
-        benchmarks=benchmarks,
-        workers=args.workers,
-    )
+    results = engine.sweep(_make_config(args, benchmark="gcc"), benchmarks=benchmarks)
     if args.json:
         print(json.dumps({name: run.to_dict() for name, run in results.items()}))
     else:

@@ -109,18 +109,6 @@ class StaticMix:
             entry = self.draw(rng)
             yield entry.payload(), entry.tag()
 
-    def unique_configs(self) -> List[SimulationConfig]:
-        """Every distinct configuration the mix can submit (verify pool)."""
-        configs: List[SimulationConfig] = []
-        seen = set()
-        for entry in self.entries:
-            for config in parse_job_payload(entry.payload()).configs:
-                key = config.cache_key()
-                if key not in seen:
-                    seen.add(key)
-                    configs.append(config)
-        return configs
-
     def describe(self) -> str:
         return ",".join(
             entry.tag() + (f"*{entry.weight}" if entry.weight != 1 else "")

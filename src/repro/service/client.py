@@ -386,7 +386,7 @@ class ServiceClient:
         """Result dicts in the receipt's request order.
 
         Falls back to ``GET /v1/results/<key>`` for entries the job
-        document no longer carries (evicted from the server's LRU).
+        document does not carry.
         """
         results = dict(job.get("results", {}))
         ordered = []
@@ -411,54 +411,29 @@ class RemoteEngine:
     Experiments and the CLI drive this exactly like a local engine;
     every ``run_many`` becomes one batch job (so the server coalesces
     and shards it), and results come back as exact ``RunResult`` JSON.
-    The local ``cached_results`` list mirrors what a local engine's LRU
-    would have held, so ``repro experiment --json`` payloads keep their
+    The execution settings (workers, fast path, store) are the
+    server's, chosen at ``repro serve`` time.  The local
+    ``cached_results`` list mirrors what a local engine's LRU would
+    have held, so ``repro experiment --json`` payloads keep their
     ``runs`` section.
     """
 
-    def __init__(
-        self,
-        client: ServiceClient,
-        priority: int = 0,
-        timeout_s: Optional[float] = None,
-        poll_s: float = 0.15,
-    ) -> None:
+    def __init__(self, client: ServiceClient) -> None:
         self.client = client
-        self.priority = priority
-        self.timeout_s = timeout_s
-        self.poll_s = poll_s
-        self.stats: Dict[str, int] = {"jobs": 0, "remote_units": 0}
-        self._results: "Dict[tuple, RunResult]" = {}
+        self._results: Dict[str, RunResult] = {}
 
     # -- SimEngine surface ---------------------------------------------
-    def run(self, config: SimulationConfig, **_: Any) -> RunResult:
+    def run(self, config: SimulationConfig) -> RunResult:
         return self.run_many([config])[0]
 
-    def run_many(
-        self,
-        configs: Sequence[SimulationConfig],
-        workers: Optional[int] = None,
-        use_cache: bool = True,
-        fast: Optional[bool] = None,
-        cancel=None,
-    ) -> List[RunResult]:
-        """Submit one batch job and block until it completes.
-
-        ``workers``/``fast`` are the *server's* choice (its engine was
-        configured at ``repro serve`` time); they are accepted and
-        ignored so experiment code written against ``SimEngine`` runs
-        unchanged.
-        """
+    def run_many(self, configs: Sequence[SimulationConfig]) -> List[RunResult]:
+        """Submit one batch job and block until it completes."""
         configs = list(configs)
         if not configs:
             return []
-        receipt = self.client.submit_batch(
-            configs, priority=self.priority, timeout_s=self.timeout_s
-        )
-        job = self.client.wait(receipt["id"], poll_s=self.poll_s)
+        receipt = self.client.submit_batch(configs)
+        job = self.client.wait(receipt["id"])
         payloads = self.client.collect(receipt, job)
-        self.stats["jobs"] += 1
-        self.stats["remote_units"] += len(configs)
         results = [RunResult.from_dict(payload) for payload in payloads]
         for config, result in zip(configs, results):
             self._results[config.cache_key()] = result
@@ -468,12 +443,10 @@ class RemoteEngine:
         self,
         base_config: SimulationConfig,
         benchmarks: Optional[Sequence[str]] = None,
-        workers: Optional[int] = None,
-        fast: Optional[bool] = None,
     ) -> Dict[str, RunResult]:
         names = list(benchmarks) if benchmarks is not None else benchmark_names()
         configs = [replace(base_config, benchmark=name) for name in names]
-        return dict(zip(names, self.run_many(configs, workers=workers, fast=fast)))
+        return dict(zip(names, self.run_many(configs)))
 
     def cached_results(self) -> List[RunResult]:
         """Results fetched through this facade (insertion order)."""

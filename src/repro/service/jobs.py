@@ -19,9 +19,9 @@ broken, a 422 means the request was understood but names something the
 server does not have.
 
 Execution happens at *unit* granularity: every configuration in a job
-is keyed by the same canonical digest the engine's on-disk
-:class:`~repro.sim.store.ResultStore` uses
-(:meth:`~repro.sim.store.ResultStore.key_for`), which is how identical
+is keyed by its run key
+(:meth:`~repro.sim.config.SimulationConfig.cache_key`), the key the
+engine's result cache and store use too, which is how identical
 in-flight requests coalesce onto one execution — see
 :mod:`repro.service.queue`.
 
@@ -159,7 +159,7 @@ class Job:
         status: ``"queued"``, ``"running"`` or one of
             :data:`TERMINAL_STATES`.
         error: Why a job finished other than ``done``.
-        unit_keys: Store key per configuration (parallel to
+        unit_keys: Run key per configuration (parallel to
             ``configs``), set by :meth:`JobBoard.submit`.
         pending: Unit keys the job still waits on; it finishes
             ``done`` when this empties.

@@ -4,19 +4,23 @@ The :class:`JobBoard` is the service's shared state: admitted jobs, the
 priority heap the scheduler pops from, and the *unit table* that makes
 coalescing work.
 
-A **unit** is one unique configuration, keyed by the canonical digest
-the engine's on-disk store already uses
-(:meth:`~repro.sim.store.ResultStore.key_for`).  Every job references
-units; several jobs referencing the same key share one unit, so
+A **unit** is one unique configuration, keyed by its run key
+(:meth:`~repro.sim.config.SimulationConfig.cache_key`), the key the
+engine's result cache and store use too.  Every job references units;
+several jobs referencing the same key share one unit, so
 
-* a configuration that is already **done** (result in the board's LRU
-  or the result store) is served immediately — the job's unit count
-  drops without touching the worker pool;
+* a configuration that is already **done** (result in the engine's
+  cache or store) is served immediately — the job's unit count drops
+  without touching the worker pool;
 * a configuration that is **running** on behalf of another job is not
   re-executed — the late job simply attaches and completes when the
   unit does;
 * only genuinely new configurations become **pending** work for the
   scheduler.
+
+The board keeps no results of its own: finished results live in the
+engine, and the board reads them through
+:meth:`~repro.sim.engine.SimEngine.lookup`.
 
 All mutation happens under one lock; the scheduler blocks on a
 condition variable instead of polling.  Completion is event-driven:
@@ -31,13 +35,13 @@ from __future__ import annotations
 import heapq
 import threading
 import time
-from collections import OrderedDict, deque
+from collections import deque
 from dataclasses import dataclass, field
 from typing import Any, Callable, Deque, Dict, List, Optional, Set
 
 from repro.sim.config import SimulationConfig
+from repro.sim.engine import SimEngine
 from repro.sim.metrics import RunResult
-from repro.sim.store import ResultStore
 
 from .jobs import Job, TERMINAL_STATES
 
@@ -46,9 +50,6 @@ __all__ = ["JobBoard", "QueueFull", "SubmitReceipt", "Unit"]
 #: Terminal jobs kept for status queries; the earliest-finished is
 #: evicted first.
 RETENTION_JOBS = 1024
-
-#: Completed unit payloads kept in the in-memory LRU.
-RETENTION_RESULTS = 4096
 
 #: Execution failures a unit absorbs, with retries in between, before
 #: it is quarantined and its jobs finish ``poisoned``.
@@ -119,21 +120,23 @@ class JobBoard:
     :data:`RETENTION_JOBS` jobs are kept; live jobs are never evicted.
 
     Args:
-        store: Optional result store; completed units fall back to it
-            when the in-memory result LRU has evicted them, and results
-            already on disk satisfy new units at admission.
+        engine: The engine that executes the units and holds their
+            results.  Admission serves a unit the engine already has
+            (cache or store), and result and job documents read through
+            :meth:`~repro.sim.engine.SimEngine.lookup`.  ``None`` keeps
+            no results: every unit is new work and no result is served.
         queue_limit: Maximum queued-or-running jobs before admission
             returns :class:`QueueFull`.
     """
 
     def __init__(
         self,
-        store: Optional[ResultStore] = None,
+        engine: Optional[SimEngine] = None,
         queue_limit: int = 256,
     ) -> None:
         if queue_limit < 1:
             raise ValueError("queue_limit must be at least 1")
-        self.store = store
+        self.engine = engine
         self.queue_limit = queue_limit
         self._lock = threading.RLock()
         self._work = threading.Condition(self._lock)
@@ -142,7 +145,6 @@ class JobBoard:
         #: Ids of the retained terminal jobs, in completion order.
         self._terminal: Deque[str] = deque()
         self._units: Dict[str, Unit] = {}
-        self._results: "OrderedDict[str, Dict[str, Any]]" = OrderedDict()
         self._heap: List = []
         self._seq = 0
         self._closed = False
@@ -171,7 +173,7 @@ class JobBoard:
             if job.id in self._jobs:
                 raise ValueError(f"duplicate job id {job.id!r}")
 
-            job.unit_keys = [ResultStore.key_for(config) for config in job.configs]
+            job.unit_keys = [config.cache_key() for config in job.configs]
             job.submitted_at = time.time()
             coalesced = cached = 0
             seen: Set[str] = set()
@@ -182,7 +184,7 @@ class JobBoard:
                 unit = self._units.get(key)
                 if unit is not None:
                     coalesced += 1
-                elif self._result_available(key):
+                elif self._lookup(key) is not None:
                     cached += 1
                     continue
                 else:
@@ -211,22 +213,8 @@ class JobBoard:
             self._notify(finished)
         return receipt
 
-    def _result_available(self, key: str) -> bool:
-        if key in self._results:
-            self._results.move_to_end(key)
-            return True
-        if self.store is not None:
-            payload = self.store.get_payload(key)
-            if payload is not None and "result" in payload:
-                self._remember_result(key, payload["result"])
-                return True
-        return False
-
-    def _remember_result(self, key: str, result: Dict[str, Any]) -> None:
-        self._results[key] = result
-        self._results.move_to_end(key)
-        while len(self._results) > RETENTION_RESULTS:
-            self._results.popitem(last=False)
+    def _lookup(self, key: str) -> Optional[RunResult]:
+        return self.engine.lookup(key) if self.engine is not None else None
 
     def _live_count(self) -> int:
         return len(self._jobs) - len(self._terminal)
@@ -299,15 +287,18 @@ class JobBoard:
             self._notify(finished)
         return claimed
 
-    def complete_unit(self, key: str, result: RunResult, elapsed: Optional[float] = None) -> None:
-        """Record a unit's result and resolve every attached job."""
+    def complete_unit(self, key: str, elapsed: Optional[float] = None) -> None:
+        """Resolve every job attached to a finished unit.
+
+        The result itself is the engine's: :meth:`SimEngine.run_many`
+        has already cached it under ``key``.
+        """
         finished: List[Job] = []
         with self._lock:
             if elapsed is not None:
                 # Exponential moving average; drives Retry-After hints.
                 self._unit_seconds = 0.7 * self._unit_seconds + 0.3 * max(elapsed, 0.01)
             unit = self._units.pop(key, None)
-            self._remember_result(key, result.to_dict())
             if unit is None:
                 return
             for job_id in unit.jobs:
@@ -483,26 +474,16 @@ class JobBoard:
             return dict(sorted(depths.items(), key=lambda item: -item[0]))
 
     def result_payload(self, key: str) -> Optional[Dict[str, Any]]:
-        """A completed unit's result dict, from the LRU or the store.
+        """A finished unit's result dict, read through the engine.
 
-        A malformed key (not a store digest) is simply absent — the
-        store's digest validation must not escape as an error from a
-        lookup API.
+        A malformed key (not a run key) is simply absent — the store's
+        key validation must not escape as an error from a lookup API.
         """
-        with self._lock:
-            if key in self._results:
-                self._results.move_to_end(key)
-                return self._results[key]
-        if self.store is not None:
-            try:
-                payload = self.store.get_payload(key)
-            except ValueError:
-                return None
-            if payload is not None and "result" in payload:
-                with self._lock:
-                    self._remember_result(key, payload["result"])
-                return payload["result"]
-        return None
+        try:
+            result = self._lookup(key)
+        except ValueError:
+            return None
+        return None if result is None else result.to_dict()
 
     def job_payload(self, job_id: str) -> Optional[Dict[str, Any]]:
         """The full status document for ``GET /v1/jobs/<id>``."""

@@ -12,9 +12,9 @@ Per-job control:
 * **cancellation** — every job carries a :class:`threading.Event`; the
   engine checks it between configurations/chunks and raises
   :class:`~repro.sim.engine.RunCancelled`.  Units another live job
-  still needs are recovered: results the engine already wrote to the
-  store complete on the spot, the rest return to pending and the
-  waiting jobs are requeued.
+  still needs are recovered: results the engine already cached
+  complete on the spot, the rest return to pending and the waiting
+  jobs are requeued.
 * **timeout** — ``timeout_s`` arms a timer that sets the same event,
   so a runaway job cannot hold the pool; the job finishes
   ``cancelled`` with a timeout message.
@@ -166,7 +166,7 @@ class Scheduler:
                         cancel.set()
                     elif hit.action == "raise":
                         raise faults.FaultInjected("scheduler.unit")
-                results = self.engine.run_many(configs, cancel=cancel)
+                self.engine.run_many(configs, cancel=cancel)
         except RunCancelled:
             self._recover_cancelled(job, units)
             self.board.finish_cancelled(job)
@@ -200,22 +200,22 @@ class Scheduler:
             "job.units_executed", trace_id=trace_id, job_id=job.id,
             units=len(units), elapsed_s=round(elapsed, 6),
         )
-        for unit, result in zip(units, results):
-            self.board.complete_unit(unit.key, result, elapsed=per_unit)
+        for unit in units:
+            self.board.complete_unit(unit.key, elapsed=per_unit)
 
     def _recover_cancelled(self, job: Job, units: List[Unit]) -> None:
         """Salvage a cancelled execution's units for other waiting jobs.
 
-        The engine writes results back incrementally, so units that
-        finished before the cancellation are completed from the store;
-        the rest go back to pending and any co-attached jobs requeue.
+        The engine caches results as they complete, so units that
+        finished before the cancellation are completed through
+        :meth:`~repro.sim.engine.SimEngine.lookup`, with or without a
+        store; the rest go back to pending and any co-attached jobs
+        requeue.
         """
-        store = self.engine.store
         unfinished: List[str] = []
         for unit in units:
-            result = store.get_by_key(unit.key) if store is not None else None
-            if result is not None:
-                self.board.complete_unit(unit.key, result)
+            if self.engine.lookup(unit.key) is not None:
+                self.board.complete_unit(unit.key)
             else:
                 unfinished.append(unit.key)
         if unfinished:

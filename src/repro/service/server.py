@@ -12,7 +12,7 @@ GET      ``/v1/jobs``               List retained jobs
 GET      ``/v1/jobs/<id>``          Status + partial results (404 unknown)
 POST     ``/v1/jobs/<id>/cancel``   Cancel (idempotent)
 DELETE   ``/v1/jobs/<id>``          Alias for cancel
-GET      ``/v1/results/<key>``      One result by canonical cache key
+GET      ``/v1/results/<key>``      One result by run key
 GET      ``/v1/policies``           The policy registry
 GET      ``/healthz``               Liveness (503 while draining)
 GET      ``/metrics``               Queue depth (total and per priority),
@@ -81,7 +81,7 @@ MAX_BODY_BYTES = 8 * 1024 * 1024
 
 _JOB_PATH = re.compile(r"^/v1/jobs/([A-Za-z0-9_.-]+)$")
 _CANCEL_PATH = re.compile(r"^/v1/jobs/([A-Za-z0-9_.-]+)/cancel$")
-# Result keys are lowercase-hex store digests; anything else is a 404
+# Result keys are lowercase-hex run keys; anything else is a 404
 # at the routing layer (not a ValueError deep in the store).
 _RESULT_PATH = re.compile(r"^/v1/results/([0-9a-f]+)$")
 
@@ -104,8 +104,9 @@ class ServiceServer:
     """The job-queue service wired together: board, scheduler, HTTP.
 
     Args:
-        engine: The engine executing every unit (its worker pool, LRU,
-            result store and fast/reference setting are the service's).
+        engine: The engine executing every unit (its worker pool, result
+            cache, result store and fast/reference setting are the
+            service's; the job board reads results through it).
         host / port: Bind address; port ``0`` picks an ephemeral port
             (tests and ``perfbench/`` use this).
         queue_limit: Live jobs admitted before 429.
@@ -123,7 +124,7 @@ class ServiceServer:
     ) -> None:
         self.engine = engine if engine is not None else SimEngine(fast=True)
         self.telemetry = Telemetry()
-        self.board = JobBoard(store=self.engine.store, queue_limit=queue_limit)
+        self.board = JobBoard(engine=self.engine, queue_limit=queue_limit)
         self.journal = (
             JobJournal(journal)
             if isinstance(journal, (str, Path))
@@ -412,7 +413,7 @@ class ServiceServer:
             # duplicate submit line is harmless: replaying it while the
             # original is unfinished is exactly the idempotent-retry
             # semantics the journal promises, and after the original
-            # finishes its results are served from the store instantly.
+            # finishes its results are served from the engine instantly.
             self.telemetry.bump("jobs_rejected")
             return 409, {"error": str(error)}, {}
         finally:

@@ -16,8 +16,10 @@ A bare registered name is shorthand for a parameterless spec
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass, field, replace
-from typing import Any, Dict, Mapping, Optional, Tuple, Union
+from hashlib import sha256
+from typing import Any, Dict, Mapping, Optional, Union
 
 from repro.cache.hierarchy import HierarchyConfig
 from repro.core.registry import PolicySpec
@@ -51,9 +53,9 @@ def _default_static_spec() -> PolicySpec:
 def _is_default_static(spec: PolicySpec) -> bool:
     """Whether ``spec`` canonicalises to the plain static-pull-up default.
 
-    Used to keep memoisation and result-store keys byte-identical to the
-    keys written before the L2 carried a policy: an L2 spec equivalent to
-    the old implicit static pull-up contributes nothing to a key.
+    Used to keep run keys byte-identical to the keys written before the
+    L2 carried a policy: an L2 spec equivalent to the old implicit static
+    pull-up contributes nothing to a key.
     """
     try:
         return spec.cache_key() == PolicySpec("static").cache_key()
@@ -126,45 +128,39 @@ class SimulationConfig:
         """Whether the L2 settings match the pre-policy-capable default."""
         return self.l2_subarray_bytes is None and _is_default_static(self.l2)
 
-    def cache_key(self) -> Tuple:
-        """Hashable memoisation key identifying this run exactly.
+    def cache_key(self) -> str:
+        """The run's identity: a digest of its canonical serialised form.
 
-        Derived from the canonical policy specs, so two configs that
-        build identical policies (e.g. with and without an explicit
-        default threshold) share a key, and newly registered policies
-        participate with no driver changes.  ``trace:`` benchmarks fold
-        the trace file's identity (path, mtime, size) in, so a
-        re-recorded file is never served a stale memoised result;
-        scenario and ``fuzz:`` benchmarks fold their canonical
-        expression in, so equivalent spellings share one memo entry.
-
-        A default L2 (static pull-up, derived subarray size) contributes
-        nothing, keeping keys identical to the ones produced before the
-        L2 carried a policy; a non-default L2 appends its canonical spec
-        and granularity.
+        One key names a run everywhere: the engine's result cache, the
+        on-disk result store (the file name), the service's units and
+        the ``/v1/results/<key>`` endpoint.  It is derived from the
+        canonical policy specs, so two configs that build identical
+        policies (e.g. with and without an explicit default threshold)
+        share a key, and newly registered policies participate with no
+        driver changes.  ``trace:`` benchmarks fold the trace file's
+        identity (path, mtime, size) in, so a re-recorded file is never
+        served a stale result; scenario and ``fuzz:`` benchmarks fold
+        their canonical expression in, so equivalent spellings share one
+        entry.  A default L2 (static pull-up) is omitted by
+        :meth:`to_dict`, so digests of pre-L2 configurations are
+        unchanged and old stores resume; a non-default L2 folds its
+        canonical spec in.
         """
+        canonical = self.to_dict()
+        canonical["dcache"] = self.dcache.canonical().to_dict()
+        canonical["icache"] = self.icache.canonical().to_dict()
+        if "l2" in canonical:
+            canonical["l2"] = self.l2.canonical().to_dict()
         identity = workload_identity(self.benchmark)
-        if identity is not None and identity[0] == "scenario":
-            # Key on the canonical expression instead of the literal
-            # spelling, so `MIX: GCC + McF` and `mix:gcc+mcf@2000`
-            # share one memo entry.
-            benchmark = identity[1]
-        else:
-            benchmark = self.benchmark
-        key = (
-            benchmark,
-            self.dcache.cache_key(),
-            self.icache.cache_key(),
-            self.feature_size_nm,
-            self.subarray_bytes,
-            self.n_instructions,
-            self.seed,
-            self.pipeline,
-            identity,
-        )
-        if not self._l2_is_default():
-            key += (self.l2.cache_key(), self.l2_subarray_bytes)
-        return key
+        if identity is not None:
+            canonical["workload_identity"] = list(identity)
+            if identity[0] == "scenario":
+                # Digest the canonical expression, not the literal
+                # spelling, so `MIX: GCC + McF` and `mix:gcc+mcf@2000`
+                # share one entry.
+                canonical["benchmark"] = identity[1]
+        payload = json.dumps(canonical, sort_keys=True, separators=(",", ":"))
+        return sha256(payload.encode("utf-8")).hexdigest()[:32]
 
     def to_dict(self) -> Dict[str, Any]:
         """JSON-safe representation (round-trips via :meth:`from_dict`).
@@ -172,8 +168,8 @@ class SimulationConfig:
         The ``l2`` / ``l2_subarray_bytes`` keys are only emitted when
         they differ from the default (static pull-up, derived subarray
         size): the round-trip stays exact, while serialised forms — and
-        the result-store digests derived from them — stay byte-identical
-        to the ones written before the L2 carried a policy.
+        the run keys derived from them — stay byte-identical to the ones
+        written before the L2 carried a policy.
         """
         data = {
             "benchmark": self.benchmark,

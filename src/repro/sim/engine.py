@@ -3,11 +3,14 @@
 :class:`SimEngine` owns everything the old module-global driver did, as
 an object:
 
-* a bounded, thread-safe, LRU result cache (the old process-global
-  ``_RUN_CACHE`` grew without limit and could not be scoped per test or
-  per experiment);
-* an optional on-disk :class:`~repro.sim.store.ResultStore`, consulted
-  before computing and updated after, so sweeps resume across processes;
+* a bounded, thread-safe, LRU result cache keyed by the run key
+  (:meth:`~repro.sim.config.SimulationConfig.cache_key`) — the one
+  place a process keeps finished results; :meth:`SimEngine.lookup`
+  reads it (the old process-global ``_RUN_CACHE`` grew without limit
+  and could not be scoped per test or per experiment);
+* an optional on-disk :class:`~repro.sim.store.ResultStore` under the
+  same keys, consulted before computing and updated after, so sweeps
+  resume across processes;
 * :meth:`run_many` / :meth:`sweep` fan-out over a **persistent,
   reusable process pool**: worker processes are forked once and reused
   across calls, pending work is grouped into trace-affine chunks whose
@@ -60,8 +63,9 @@ __all__ = [
     "execute_run_fast",
 ]
 
-#: Capacity of each engine's in-memory LRU result cache.
-MAX_CACHED_RUNS = 1024
+#: Capacity of each engine's in-memory LRU result cache.  A service
+#: without a store serves every finished unit from here.
+MAX_CACHED_RUNS = 4096
 
 #: How many times a failed parallel chunk is resubmitted to a (rebuilt,
 #: if broken) pool before it degrades to serial in-process execution.
@@ -253,9 +257,12 @@ def _shutdown_executor(pool: ProcessPoolExecutor) -> None:
 class SimEngine:
     """Run simulations with caching, persistence and parallelism.
 
+    The execution settings belong to the engine, not to a call: every
+    :meth:`run`, :meth:`run_many` and :meth:`sweep` uses them.
+
     Args:
-        workers: Default process count for :meth:`run_many` /
-            :meth:`sweep`; ``1`` means serial in-process execution.
+        workers: Process count for :meth:`run_many` / :meth:`sweep`;
+            ``1`` means serial in-process execution.
         store: Optional on-disk result store (or a directory path for
             one), consulted before computing and updated after.
         fast: Execute runs on the batched fast-path kernel
@@ -264,8 +271,9 @@ class SimEngine:
             differential suite enforces this), so fast and reference
             runs share cache entries and store records.
 
-    The result cache holds :data:`MAX_CACHED_RUNS` runs, and a failed
-    parallel chunk is retried :data:`CHUNK_RETRIES` times.
+    The result cache holds :data:`MAX_CACHED_RUNS` runs under their run
+    keys, and a failed parallel chunk is retried :data:`CHUNK_RETRIES`
+    times.
     """
 
     def __init__(
@@ -279,10 +287,9 @@ class SimEngine:
         self.workers = workers
         self.fast = fast
         self.store = ResultStore(store) if isinstance(store, (str, Path)) else store
-        self._cache: "OrderedDict[Tuple, RunResult]" = OrderedDict()
+        self._cache: "OrderedDict[str, RunResult]" = OrderedDict()
         self._lock = threading.Lock()
         self._pool: Optional[ProcessPoolExecutor] = None
-        self._pool_workers = 0
         self._pool_lock = threading.Lock()
         self._pool_finalizer: Optional[weakref.finalize] = None
         self.stats: Dict[str, int] = {
@@ -297,22 +304,18 @@ class SimEngine:
     # ------------------------------------------------------------------
     # Worker-pool lifecycle
     # ------------------------------------------------------------------
-    def _executor(self, workers: int) -> ProcessPoolExecutor:
-        """The persistent worker pool, (re)created on first use.
+    def _executor(self) -> ProcessPoolExecutor:
+        """The persistent worker pool, created on first use.
 
         Workers are forked once and reused across :meth:`run_many` /
         :meth:`sweep` calls — repeated sweeps stop paying process
         start-up, and forked workers inherit already-compiled traces.
-        Asking for a different worker count recycles the pool.
         """
         with self._pool_lock:
-            if self._pool is not None and self._pool_workers != workers:
-                self._close_pool_locked(wait=False)
             if self._pool is None:
                 self._pool = ProcessPoolExecutor(
-                    max_workers=workers, mp_context=_worker_context()
+                    max_workers=self.workers, mp_context=_worker_context()
                 )
-                self._pool_workers = workers
                 self._pool_finalizer = weakref.finalize(
                     self, _shutdown_executor, self._pool
                 )
@@ -325,7 +328,6 @@ class SimEngine:
         if self._pool is not None:
             self._pool.shutdown(wait=wait)
             self._pool = None
-            self._pool_workers = 0
 
     def close(self) -> None:
         """Shut down the persistent worker pool (idempotent).
@@ -371,7 +373,6 @@ class SimEngine:
                     process.kill()
             pool.shutdown(wait=False, cancel_futures=True)
             self._pool = None
-            self._pool_workers = 0
 
     def __enter__(self) -> "SimEngine":
         return self
@@ -402,43 +403,54 @@ class SimEngine:
         with self._lock:
             return list(self._cache.values())
 
-    def _cache_get(self, key: Tuple) -> Optional[RunResult]:
+    def _cache_get(self, key: str) -> Optional[RunResult]:
         with self._lock:
             result = self._cache.get(key)
             if result is not None:
                 self._cache.move_to_end(key)
-                self.stats["memory_hits"] += 1
             return result
+
+    def _store_get(self, key: str) -> Optional[RunResult]:
+        """Read ``key`` from the store, promoting a hit into the cache."""
+        if self.store is None:
+            return None
+        result = self.store.get(key)
+        if result is not None:
+            self._cache_put(key, result)
+        return result
 
     def _bump(self, stat: str) -> None:
         with self._lock:
             self.stats[stat] += 1
 
-    def _cache_put(self, key: Tuple, result: RunResult) -> None:
+    def _cache_put(self, key: str, result: RunResult) -> None:
         with self._lock:
             self._cache[key] = result
             self._cache.move_to_end(key)
             while len(self._cache) > MAX_CACHED_RUNS:
                 self._cache.popitem(last=False)
 
+    def lookup(self, key: str) -> Optional[RunResult]:
+        """The finished run under run key ``key``, or ``None``.
+
+        Reads the result cache, then the store, and promotes a store hit
+        into the cache.  It never computes, and it counts nothing in
+        :attr:`stats`: only :meth:`run_many`'s lookups are counted.
+        """
+        result = self._cache_get(key)
+        return result if result is not None else self._store_get(key)
+
     # ------------------------------------------------------------------
     # Execution
     # ------------------------------------------------------------------
-    def run(
-        self,
-        config: SimulationConfig,
-        use_cache: bool = True,
-        fast: Optional[bool] = None,
-    ) -> RunResult:
-        """Simulate one configuration, reusing cached results when allowed."""
-        return self.run_many([config], workers=1, use_cache=use_cache, fast=fast)[0]
+    def run(self, config: SimulationConfig) -> RunResult:
+        """Simulate one configuration, reusing a cached result."""
+        return self.run_many([config])[0]
 
     def run_many(
         self,
         configs: Sequence[SimulationConfig],
-        workers: Optional[int] = None,
         use_cache: bool = True,
-        fast: Optional[bool] = None,
         cancel: Optional[threading.Event] = None,
     ) -> List[RunResult]:
         """Simulate many configurations, in parallel when ``workers > 1``.
@@ -446,8 +458,9 @@ class SimEngine:
         Results come back in input order and are identical to running
         each configuration serially (runs are independent and fully
         seeded).  Configurations already in the cache or store are not
-        re-simulated, and duplicates are simulated once.  ``fast``
-        overrides the engine's default execution path for this call.
+        re-simulated, and duplicates are simulated once.  With
+        ``use_cache=False`` every configuration is computed, and nothing
+        is read from or written to the cache or store.
 
         ``cancel`` is the service layer's cancellation hook: when the
         event is set mid-batch the call raises :class:`RunCancelled` at
@@ -457,26 +470,23 @@ class SimEngine:
         they complete, not at the end of the batch — so a resubmitted
         batch resumes instead of restarting.
         """
-        workers = self.workers if workers is None else workers
-        if workers < 1:
-            raise ValueError("workers must be at least 1")
-        fast = self.fast if fast is None else fast
         configs = list(configs)
         with faults.site("engine.run_many", configs=len(configs)):
             results: List[Optional[RunResult]] = [None] * len(configs)
 
-            pending: "OrderedDict[Tuple, List[int]]" = OrderedDict()
-            pending_configs: Dict[Tuple, SimulationConfig] = {}
+            pending: "OrderedDict[str, List[int]]" = OrderedDict()
+            pending_configs: Dict[str, SimulationConfig] = {}
             for index, config in enumerate(configs):
                 key = config.cache_key()
                 hit: Optional[RunResult] = None
                 if use_cache:
                     hit = self._cache_get(key)
-                    if hit is None and self.store is not None:
-                        hit = self.store.get(config)
+                    if hit is not None:
+                        self._bump("memory_hits")
+                    else:
+                        hit = self._store_get(key)
                         if hit is not None:
                             self._bump("store_hits")
-                            self._cache_put(key, hit)
                 if hit is not None:
                     results[index] = hit
                 else:
@@ -503,13 +513,9 @@ class SimEngine:
                     for index in pending[key]:
                         results[index] = result
 
-                if workers > 1 and len(todo) > 1:
+                if self.workers > 1 and len(todo) > 1:
                     self._run_parallel(
-                        [config for _, config in todo],
-                        workers,
-                        fast=fast,
-                        record=record,
-                        cancel=cancel,
+                        [config for _, config in todo], record=record, cancel=cancel
                     )
                 else:
                     for position, (_, config) in enumerate(todo):
@@ -518,7 +524,7 @@ class SimEngine:
                                 f"cancelled with {len(todo) - position} of "
                                 f"{len(todo)} configurations outstanding"
                             )
-                        (result,), meta = _run_chunk(fast, [config])
+                        (result,), meta = _run_chunk(self.fast, [config])
                         _record_chunk_span(meta)
                         record(position, result)
         return results  # type: ignore[return-value]
@@ -526,8 +532,6 @@ class SimEngine:
     def _run_parallel(
         self,
         configs: List[SimulationConfig],
-        workers: int,
-        fast: bool,
         record,
         cancel: Optional[threading.Event] = None,
     ) -> None:
@@ -581,7 +585,8 @@ class SimEngine:
         # (indices, chunk, attempt): attempt counts pool submissions.
         max_attempts = CHUNK_RETRIES + 1
         queue = [
-            (indices, chunk, 1) for indices, chunk in self._make_chunks(configs, workers)
+            (indices, chunk, 1)
+            for indices, chunk in self._make_chunks(configs, self.workers)
         ]
         serial: List[Tuple[List[int], List[SimulationConfig]]] = []
 
@@ -592,12 +597,12 @@ class SimEngine:
                 serial.append((indices, chunk))
 
         while queue:
-            executor = self._executor(workers)
+            executor = self._executor()
             futures = []
             pool_broken = False
             for indices, chunk, attempt in queue:
                 try:
-                    future = executor.submit(_execute_chunk, (fast, chunk))
+                    future = executor.submit(_execute_chunk, (self.fast, chunk))
                 except BrokenProcessPool:
                     # A worker died while chunks were still being
                     # submitted: recycle the pool once, drain what was
@@ -698,7 +703,7 @@ class SimEngine:
                 if cancel is not None and cancel.is_set():
                     raise RunCancelled("cancelled during serial fallback")
                 recorded.add(index)
-                (result,), meta = _run_chunk(fast, [config])
+                (result,), meta = _run_chunk(self.fast, [config])
                 _record_chunk_span(meta)
                 record(index, result)
 
@@ -738,8 +743,6 @@ class SimEngine:
         self,
         base_config: SimulationConfig,
         benchmarks: Optional[Sequence[str]] = None,
-        workers: Optional[int] = None,
-        fast: Optional[bool] = None,
     ) -> Dict[str, RunResult]:
         """Run ``base_config`` for every benchmark in ``benchmarks``.
 
@@ -748,13 +751,11 @@ class SimEngine:
                 is substituted (via :func:`dataclasses.replace`, so every
                 other field — including ones added later — carries over).
             benchmarks: Benchmark names; defaults to all sixteen.
-            workers: Process count; defaults to the engine's.
-            fast: Execution-path override for this call.
 
         Returns:
             Mapping from benchmark name to its :class:`RunResult`.
         """
         names = list(benchmarks) if benchmarks is not None else benchmark_names()
         configs = [replace(base_config, benchmark=name) for name in names]
-        results = self.run_many(configs, workers=workers, fast=fast)
+        results = self.run_many(configs)
         return dict(zip(names, results))

@@ -1,10 +1,12 @@
 """On-disk result store: sweeps resume across processes.
 
 A :class:`ResultStore` is a directory of JSON files, one per simulated
-configuration, keyed by a digest of the configuration's canonical
-serialised form.  :class:`~repro.sim.engine.SimEngine` consults the store
-before computing a run and writes every fresh result back, so a killed or
-re-invoked sweep only simulates the configurations it has not seen —
+configuration, named by its run key
+(:meth:`~repro.sim.config.SimulationConfig.cache_key`, a digest of the
+configuration's canonical serialised form).  The
+:class:`~repro.sim.engine.SimEngine` consults the store before computing
+a run and writes every fresh result back, so a killed or re-invoked
+sweep only simulates the configurations it has not seen —
 the cross-product evaluations of the paper (16 benchmarks x 6 policies x
 nodes x subarray sizes) become restartable.
 
@@ -40,10 +42,9 @@ import threading
 import time
 from hashlib import sha256
 from pathlib import Path
-from typing import Dict, Iterator, Optional, Union
+from typing import Dict, Optional, Union
 
 from repro import faults
-from repro.workloads.scenarios import workload_identity
 
 from .config import SimulationConfig
 from .metrics import RunResult
@@ -61,7 +62,7 @@ def _payload_digest(payload: dict) -> str:
 
 
 class ResultStore:
-    """Persist :class:`RunResult` objects keyed by configuration."""
+    """Persist :class:`RunResult` objects under their run keys."""
 
     def __init__(self, directory: Union[str, Path]) -> None:
         self.directory = Path(directory)
@@ -73,34 +74,8 @@ class ResultStore:
     # ------------------------------------------------------------------
     @staticmethod
     def key_for(config: SimulationConfig) -> str:
-        """Stable digest identifying one configuration.
-
-        ``trace:`` benchmarks fold the trace file's identity in (plain
-        benchmark digests are unchanged), so re-recording a file never
-        resumes from a stale stored result; scenario and ``fuzz:``
-        benchmarks fold their canonical expression in, so equivalent
-        spellings resume from one stored entry.  A default L2 (static
-        pull-up) is omitted by :meth:`SimulationConfig.to_dict`, so
-        digests of pre-L2 configurations are unchanged and old stores
-        resume; a non-default L2 folds its canonical spec in.
-        """
-        canonical = dict(config.to_dict())
-        canonical["dcache"] = config.dcache.canonical().to_dict()
-        canonical["icache"] = config.icache.canonical().to_dict()
-        if "l2" in canonical:
-            canonical["l2"] = config.l2.canonical().to_dict()
-        identity = workload_identity(config.benchmark)
-        if identity is not None:
-            canonical["workload_identity"] = list(identity)
-            if identity[0] == "scenario":
-                # Digest the canonical expression, not the literal
-                # spelling, so equivalent spellings share one entry.
-                canonical["benchmark"] = identity[1]
-        payload = json.dumps(canonical, sort_keys=True, separators=(",", ":"))
-        return sha256(payload.encode("utf-8")).hexdigest()[:32]
-
-    def _path(self, config: SimulationConfig) -> Path:
-        return self.directory / f"{self.key_for(config)}.json"
+        """The key ``config`` is stored under: its run key."""
+        return config.cache_key()
 
     def _key_path(self, key: str) -> Path:
         # Keys are hex digests; reject anything that could traverse out
@@ -113,11 +88,11 @@ class ResultStore:
     def _quarantine(self, path: Path, reason: str) -> None:
         """Sideline a corrupt entry as ``<name>.corrupt`` and count it.
 
-        The sidecar suffix takes the file out of every ``*.json`` glob
-        (``keys``, ``iter_results``, ``__len__``), so a corrupt entry
-        disappears from the store's view while staying on disk for a
-        post-mortem.  Rename failures are swallowed — quarantine is
-        best-effort; the read already returned a miss.
+        The sidecar suffix takes the file out of the ``*.json``
+        namespace, so a corrupt entry disappears from the store's view
+        while staying on disk for a post-mortem.  Rename failures are
+        swallowed — quarantine is best-effort; the read already returned
+        a miss.
         """
         with self._stats_lock:
             self.stats["corrupt_entries"] += 1
@@ -128,9 +103,9 @@ class ResultStore:
         log.warning("quarantined corrupt store entry %s (%s)", path.name, reason)
 
     # ------------------------------------------------------------------
-    def get(self, config: SimulationConfig) -> Optional[RunResult]:
-        """The stored result for ``config``, or ``None``."""
-        payload = self.get_payload(self.key_for(config))
+    def get(self, key: str) -> Optional[RunResult]:
+        """The stored result under ``key`` (a run key), or ``None``."""
+        payload = self.get_payload(key)
         if payload is None:
             return None
         try:
@@ -173,20 +148,6 @@ class ResultStore:
                 return None
             return payload
 
-    def get_by_key(self, key: str) -> Optional[RunResult]:
-        """The stored result under ``key`` (a :meth:`key_for` digest)."""
-        payload = self.get_payload(key)
-        if payload is None:
-            return None
-        try:
-            return RunResult.from_dict(payload["result"])
-        except (KeyError, TypeError, ValueError):
-            return None
-
-    def keys(self) -> list:
-        """Every stored key (sorted; unreadable entries included)."""
-        return sorted(path.stem for path in self.directory.glob("*.json"))
-
     def put(self, config: SimulationConfig, result: RunResult) -> None:
         """Persist ``result`` for ``config``.
 
@@ -197,7 +158,7 @@ class ResultStore:
         JSON.  The payload carries its own SHA-256 digest for read-side
         verification.
         """
-        path = self._path(config)
+        path = self._key_path(config.cache_key())
         with faults.site("store.put", key=path.stem) as hit:
             payload = {"config": config.to_dict(), "result": result.to_dict()}
             payload["sha256"] = _payload_digest(payload)
@@ -230,26 +191,3 @@ class ResultStore:
                 except OSError:
                     pass
                 raise
-
-    def __contains__(self, config: SimulationConfig) -> bool:
-        return self._path(config).exists()
-
-    def __len__(self) -> int:
-        return sum(1 for _ in self.directory.glob("*.json"))
-
-    def iter_results(self) -> Iterator[RunResult]:
-        """Every stored result (order unspecified; corrupt entries skipped)."""
-        for path in sorted(self.directory.glob("*.json")):
-            try:
-                payload = json.loads(path.read_text())
-                yield RunResult.from_dict(payload["result"])
-            except (KeyError, TypeError, ValueError, OSError):
-                continue
-
-    def clear(self) -> None:
-        """Delete every stored result."""
-        for path in self.directory.glob("*.json"):
-            try:
-                path.unlink()
-            except OSError:
-                pass

@@ -46,6 +46,20 @@ def fast_engine():
 
 
 @pytest.fixture(scope="module")
+def ondemand_result(fast_engine):
+    """Section 5's on-demand slowdown, shared by the checks below."""
+    return ondemand_slowdown(
+        fast_engine, benchmarks=BENCHMARKS, n_instructions=INSTRUCTIONS
+    )
+
+
+@pytest.fixture(scope="module")
+def figure8_result(fast_engine):
+    """Figure 8's gated precharging, shared by the checks below."""
+    return figure8(fast_engine, benchmarks=BENCHMARKS, n_instructions=INSTRUCTIONS)
+
+
+@pytest.fixture(scope="module")
 def figure9_result(fast_engine):
     """Figure 9 at its two end-point nodes, shared by the checks below."""
     return figure9(
@@ -83,13 +97,22 @@ def test_figure6_few_subarrays_are_hot():
     assert result.average_hot_fraction("icache", 100) < hot_1000
 
 
-def test_ondemand_costs_a_noticeable_slowdown(fast_engine):
+def test_ondemand_costs_a_noticeable_slowdown(ondemand_result):
     """Section 5: the extra pull-up cycle on every access costs ~9% / ~7%."""
-    result = ondemand_slowdown(
-        fast_engine, benchmarks=BENCHMARKS, n_instructions=INSTRUCTIONS
-    )
-    assert result.average_dcache_slowdown > 0.005
-    assert result.average_icache_slowdown > 0.005
+    assert ondemand_result.average_dcache_slowdown > 0.005
+    assert ondemand_result.average_icache_slowdown > 0.005
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="CHANGES.md FOUND (src/repro/experiments/ondemand.py): at this scale "
+    "on-demand slows the data cache by 1.5% and the instruction cache by 1.7%, "
+    "against the paper's ~9% and ~7%",
+)
+def test_ondemand_slowdown_reaches_half_the_paper(ondemand_result):
+    """At least half of the paper's ~9% (L1D) and ~7% (L1I) slowdown."""
+    assert ondemand_result.average_dcache_slowdown >= 0.045
+    assert ondemand_result.average_icache_slowdown >= 0.035
 
 
 def test_predecode_accuracy_degrades_for_line_sized_subarrays():
@@ -99,9 +122,9 @@ def test_predecode_accuracy_degrades_for_line_sized_subarrays():
     assert result.average_accuracy(64) < result.average_accuracy(1024)
 
 
-def test_figure8_gated_is_near_optimal(fast_engine):
+def test_figure8_gated_is_near_optimal(figure8_result):
     """Section 6: ~83% / 87% of discharge removed at ~1% slowdown."""
-    result = figure8(fast_engine, benchmarks=BENCHMARKS, n_instructions=INSTRUCTIONS)
+    result = figure8_result
     assert result.average_dcache_discharge_reduction > 0.6
     assert result.average_icache_discharge_reduction > 0.8
     assert result.average_dcache_precharged < 0.3
@@ -115,6 +138,17 @@ def test_figure8_gated_is_near_optimal(fast_engine):
         result.average_dcache_discharge_reduction_constant
         <= result.average_dcache_discharge_reduction + 0.25
     )
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="CHANGES.md FOUND (instruction-cache results): gated precharging "
+    "keeps 0.5% of L1I subarrays precharged at this scale, against the "
+    "paper's ~6%",
+)
+def test_figure8_icache_precharged_fraction_reaches_half_the_paper(figure8_result):
+    """At least half of the paper's ~6% of L1I subarrays stay precharged."""
+    assert figure8_result.average_icache_precharged >= 0.03
 
 
 def test_figure9_gated_pulls_ahead_of_resizable(figure9_result):

@@ -38,11 +38,6 @@ class TestParseMix:
         with pytest.raises(ValueError):
             parse_mix(spec)
 
-    def test_unique_configs_deduplicate_across_entries(self):
-        mix = parse_mix("gcc/gated,gcc/gated*5,art/gated")
-        names = sorted(c.benchmark for c in mix.unique_configs())
-        assert names == ["art", "gcc"]
-
     def test_parenthesised_scenario_entries(self):
         # Scenario expressions contain +/*// themselves, so the mix
         # language takes them parenthesised; splitting is depth-aware.

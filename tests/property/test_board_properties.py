@@ -9,6 +9,7 @@ list a job that is terminal or evicted.
 """
 
 from functools import lru_cache
+from types import SimpleNamespace
 from unittest import mock
 
 from hypothesis import given, settings, strategies as st
@@ -19,7 +20,7 @@ from repro.service.queue import JobBoard, QueueFull
 from repro.sim.config import SimulationConfig
 from repro.sim.engine import execute_run_fast
 
-#: Few distinct configurations, so jobs coalesce and hit the result LRU.
+#: Few distinct configurations, so jobs coalesce and hit the result cache.
 CONFIGS = [
     SimulationConfig(benchmark="gcc", n_instructions=200, seed=seed)
     for seed in range(4)
@@ -61,7 +62,9 @@ def _check(board: JobBoard, admitted) -> None:
 @settings(max_examples=150, deadline=None)
 def test_live_count_and_pending_units_stay_consistent(steps):
     with mock.patch.object(queue, "RETENTION_JOBS", 2):
-        board = JobBoard(queue_limit=4)
+        # A stand-in for the engine: the board only reads its results.
+        results = {}
+        board = JobBoard(engine=SimpleNamespace(lookup=results.get), queue_limit=4)
         admitted = []
         running = []  # keys of claimed units not yet resolved
         for op, picks, priority, index in steps:
@@ -89,7 +92,8 @@ def test_live_count_and_pending_units_stay_consistent(steps):
             elif running:
                 key = running.pop(index % len(running))
                 if op == "complete":
-                    board.complete_unit(key, _result())
+                    results[key] = _result()
+                    board.complete_unit(key)
                 elif op == "fail":
                     board.note_unit_failure(key, "injected failure")
                 else:

@@ -10,7 +10,6 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 import pytest
 
 from repro.service.client import (
-    RemoteEngine,
     RetryBudgetExceeded,
     ServiceClient,
     ServiceError,
@@ -261,14 +260,3 @@ class TestRetryBudget:
     def test_non_positive_budget_rejected(self):
         with pytest.raises(ValueError):
             ServiceClient("http://127.0.0.1:9", retry_budget_s=0.0)
-
-
-class TestRemoteEngineSurface:
-    def test_remote_engine_accepts_engine_kwargs(self, scripted):
-        # run_many must tolerate the SimEngine keyword surface even
-        # though the server decides workers/fast.
-        _, url = scripted
-        engine = RemoteEngine(ServiceClient(url))
-        assert engine.run_many([], workers=4, fast=True, use_cache=False) == []
-        assert engine.cached_results() == []
-        engine.close()

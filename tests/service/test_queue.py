@@ -8,7 +8,7 @@ from repro.service import queue
 from repro.service.jobs import Job
 from repro.service.queue import JobBoard, QueueFull
 from repro.sim.config import SimulationConfig
-from repro.sim.engine import execute_run_fast
+from repro.sim.engine import SimEngine, execute_run_fast
 from repro.sim.store import ResultStore
 
 
@@ -64,8 +64,7 @@ class TestCoalescing:
         other = board.pop(timeout=0.1)
         assert board.claim(other) == []
 
-        result = execute_run_fast(units[0].config)
-        board.complete_unit(units[0].key, result)
+        board.complete_unit(units[0].key)
         assert first.status == "done"
         assert duplicate.status == "done"
 
@@ -73,21 +72,23 @@ class TestCoalescing:
         store = ResultStore(tmp_path / "store")
         config = SimulationConfig(benchmark="gcc", n_instructions=400)
         store.put(config, execute_run_fast(config))
-        board = JobBoard(store=store)
+        board = JobBoard(engine=SimEngine(store=store))
         receipt = board.submit(_job("gcc"))
         assert receipt.cached == 1
         assert receipt.status == "done"
         assert board.pending_units() == 0
 
     def test_result_payload_round_trips(self):
-        board = JobBoard()
+        engine = SimEngine(fast=True)
+        board = JobBoard(engine=engine)
         job = _job("gcc")
         board.submit(job)
         popped = board.pop(timeout=0.1)
         (unit,) = board.claim(popped)
-        result = execute_run_fast(unit.config)
-        board.complete_unit(unit.key, result)
+        result = engine.run(unit.config)
+        board.complete_unit(unit.key)
         assert board.result_payload(unit.key) == result.to_dict()
+        assert board.result_payload("../not-a-key") is None
         payload = board.job_payload(job.id)
         assert payload["status"] == "done"
         assert payload["results"][unit.key] == result.to_dict()
@@ -106,7 +107,7 @@ class TestQueueLimit:
         store = ResultStore(tmp_path / "store")
         config = SimulationConfig(benchmark="gcc", n_instructions=400)
         store.put(config, execute_run_fast(config))
-        board = JobBoard(store=store, queue_limit=1)
+        board = JobBoard(engine=SimEngine(store=store), queue_limit=1)
         receipt = board.submit(_job("gcc"))  # done instantly from the store
         assert receipt.status == "done"
         board.submit(_job("gcc", instructions=401))  # capacity is free again
@@ -159,7 +160,7 @@ class TestRetention:
         board.submit(early)
         board.cancel(early.id)  # finishes first, while `waited` queues
         (unit,) = board.claim(board.pop(timeout=0.1))
-        board.complete_unit(unit.key, execute_run_fast(unit.config))
+        board.complete_unit(unit.key)
         assert waited.finished_at >= early.finished_at
 
         board.submit(_job("gcc", instructions=402))  # one over retention
@@ -174,7 +175,7 @@ class TestFailure:
         store = ResultStore(tmp_path / "store")
         config = SimulationConfig(benchmark="gcc", n_instructions=400)
         store.put(config, execute_run_fast(config))
-        board = JobBoard(store=store)
+        board = JobBoard(engine=SimEngine(store=store))
         seen = []
         board.on_job_finished = lambda job: seen.append((job.id, job.status))
         done = _job("gcc")

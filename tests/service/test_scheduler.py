@@ -9,8 +9,7 @@ from repro.service.jobs import Job
 from repro.service.queue import JobBoard
 from repro.service.scheduler import Scheduler
 from repro.sim.config import SimulationConfig
-from repro.sim.engine import SimEngine
-from repro.sim.store import ResultStore
+from repro.sim.engine import RunCancelled, SimEngine
 
 
 def _job(benchmarks, instructions=400, priority=0, timeout_s=None, seed=1):
@@ -39,7 +38,7 @@ def _wait_for(predicate, timeout=60.0, interval=0.02):
 class TestExecution:
     def test_jobs_execute_and_complete(self, tmp_path):
         engine = SimEngine(fast=True, store=tmp_path / "store")
-        board = JobBoard(store=engine.store)
+        board = JobBoard(engine=engine)
         scheduler = Scheduler(board, engine)
         scheduler.start()
         try:
@@ -54,7 +53,7 @@ class TestExecution:
 
     def test_coalesced_jobs_complete_through_one_execution(self, tmp_path):
         engine = SimEngine(fast=True, store=tmp_path / "store")
-        board = JobBoard(store=engine.store)
+        board = JobBoard(engine=engine)
         scheduler = Scheduler(board, engine)
         # Submit before starting the scheduler so both attach to the
         # same pending unit.
@@ -73,7 +72,7 @@ class TestExecution:
 
     def test_persistent_execution_failure_poisons_job_with_message(self, tmp_path):
         engine = SimEngine(fast=True)
-        board = JobBoard()
+        board = JobBoard(engine=engine)
         scheduler = Scheduler(board, engine)
 
         def boom(*args, **kwargs):
@@ -94,7 +93,7 @@ class TestExecution:
 
     def test_transient_execution_failure_retries_to_done(self, tmp_path):
         engine = SimEngine(fast=True, store=tmp_path / "store")
-        board = JobBoard(store=engine.store)
+        board = JobBoard(engine=engine)
         scheduler = Scheduler(board, engine)
         real_run_many = engine.run_many
         calls = []
@@ -120,7 +119,7 @@ class TestExecution:
 class TestTimeouts:
     def test_job_timeout_cancels_execution(self, tmp_path):
         engine = SimEngine(fast=True)
-        board = JobBoard()
+        board = JobBoard(engine=engine)
         scheduler = Scheduler(board, engine)
         scheduler.start()
         try:
@@ -137,7 +136,7 @@ class TestTimeouts:
 
     def test_already_expired_job_cancels_without_executing(self, tmp_path):
         engine = SimEngine(fast=True)
-        board = JobBoard()
+        board = JobBoard(engine=engine)
         scheduler = Scheduler(board, engine)
         job = _job(["gcc"], timeout_s=0.05)
         board.submit(job)
@@ -152,9 +151,8 @@ class TestTimeouts:
 
 class TestCancellationSalvage:
     def test_cancelled_execution_requeues_units_other_jobs_need(self, tmp_path):
-        store = ResultStore(tmp_path / "store")
-        engine = SimEngine(fast=True, store=store)
-        board = JobBoard(store=store)
+        engine = SimEngine(fast=True, store=tmp_path / "store")
+        board = JobBoard(engine=engine)
         scheduler = Scheduler(board, engine)
         # Heavy job and a duplicate rider on the same units.
         heavy = _job(["gcc", "art"], instructions=400_000, seed=5)
@@ -174,11 +172,44 @@ class TestCancellationSalvage:
             scheduler.stop()
             engine.close()
 
+    def test_storeless_salvage_reruns_only_unfinished_units(self):
+        # The cancelled batch finished its first unit before the cancel:
+        # that unit completes from the engine's cache, with no store, so
+        # the rider's re-run batch holds only the unfinished unit.
+        engine = SimEngine(fast=True)
+        board = JobBoard(engine=engine)
+        scheduler = Scheduler(board, engine)
+        real_run_many = engine.run_many
+        batches = []
+
+        def cancel_after_first_unit(configs, **kwargs):
+            batches.append([config.cache_key() for config in configs])
+            if len(batches) == 1:
+                real_run_many(configs[:1])
+                raise RunCancelled("cancelled after the first unit")
+            return real_run_many(configs, **kwargs)
+
+        engine.run_many = cancel_after_first_unit
+        owner = _job(["gcc", "art"])
+        rider = _job(["gcc", "art"])
+        board.submit(owner)
+        board.submit(rider)
+        scheduler.start()
+        try:
+            assert _wait_for(lambda: rider.status == "done")
+            assert owner.status == "cancelled"
+            assert len(batches) == 2
+            assert batches[1] == batches[0][1:]
+            assert set(board.job_payload(rider.id)["results"]) == set(rider.unit_keys)
+        finally:
+            scheduler.stop()
+            engine.close()
+
 
 class TestDrain:
     def test_stop_is_idempotent_and_board_closes(self):
         engine = SimEngine(fast=True)
-        board = JobBoard()
+        board = JobBoard(engine=engine)
         scheduler = Scheduler(board, engine)
         scheduler.start()
         scheduler.stop()

@@ -54,7 +54,7 @@ class TestEngineCache:
     def test_use_cache_false_bypasses(self):
         engine = SimEngine()
         first = engine.run(_tiny(n=600))
-        again = engine.run(_tiny(n=600), use_cache=False)
+        (again,) = engine.run_many([_tiny(n=600)], use_cache=False)
         assert again is not first
         assert again == first
 
@@ -74,15 +74,15 @@ class TestParallelExecution:
         names = [
             "gcc", "mesa", "art", "equake", "mcf", "vpr", "treeadd", "health",
         ]
-        serial = SimEngine().sweep(base, benchmarks=names, workers=1)
-        parallel = SimEngine().sweep(base, benchmarks=names, workers=4)
+        serial = SimEngine(workers=1).sweep(base, benchmarks=names)
+        parallel = SimEngine(workers=4).sweep(base, benchmarks=names)
         assert list(serial) == names == list(parallel)
         assert serial == parallel
 
     def test_run_many_preserves_order_and_dedupes(self):
-        engine = SimEngine()
+        engine = SimEngine(workers=2)
         configs = [_tiny("gcc", n=700), _tiny("mesa", n=700), _tiny("gcc", n=700)]
-        results = engine.run_many(configs, workers=2)
+        results = engine.run_many(configs)
         assert [r.benchmark for r in results] == ["gcc", "mesa", "gcc"]
         assert results[0] is results[2]
         assert engine.stats["computed"] == 2
@@ -144,12 +144,13 @@ class TestResultStore:
     def test_round_trip(self, tmp_path):
         store = ResultStore(tmp_path / "results")
         config = _tiny(n=800)
-        assert store.get(config) is None
+        assert store.get(config.cache_key()) is None
         engine = SimEngine(store=store)
         result = engine.run(config)
-        assert store.get(config) == result
-        assert len(store) == 1
-        assert config in store
+        assert store.get(config.cache_key()) == result
+        assert [path.name for path in store.directory.glob("*.json")] == [
+            f"{config.cache_key()}.json"
+        ]
 
     def test_sweeps_resume_across_engines(self, tmp_path):
         store_dir = tmp_path / "results"
@@ -187,14 +188,13 @@ class TestResultStore:
         assert fresh.run(config).cycles > 0
         assert fresh.stats["computed"] == 1
 
-    def test_clear_and_iter(self, tmp_path):
+    def test_one_file_per_run(self, tmp_path):
         store = ResultStore(tmp_path)
         engine = SimEngine(store=store)
         engine.run(_tiny("gcc", n=700))
         engine.run(_tiny("mesa", n=700))
-        assert {r.benchmark for r in store.iter_results()} == {"gcc", "mesa"}
-        store.clear()
-        assert len(store) == 0
+        stored = [json.loads(path.read_text()) for path in tmp_path.glob("*.json")]
+        assert {payload["result"]["benchmark"] for payload in stored} == {"gcc", "mesa"}
 
 
 class TestL2AxisThroughEngine:

@@ -34,13 +34,12 @@ class TestCloseIdempotence:
         engine.close()
 
     def test_close_concurrent_callers(self):
-        engine = SimEngine(fast=True)
+        engine = SimEngine(workers=2, fast=True)
         engine.run_many(
             [
                 SimulationConfig(benchmark=name, n_instructions=300)
                 for name in ("gcc", "art")
-            ],
-            workers=2,
+            ]
         )
         errors = []
 
@@ -60,16 +59,16 @@ class TestCloseIdempotence:
         assert engine._pool is None
 
     def test_terminate_idempotent_and_engine_reusable(self):
-        engine = SimEngine(fast=True)
+        engine = SimEngine(workers=2, fast=True)
         configs = [
             SimulationConfig(benchmark=name, n_instructions=300)
             for name in ("gcc", "art")
         ]
-        engine.run_many(configs, workers=2)
+        engine.run_many(configs)
         engine.terminate()
         engine.terminate()
         # The engine forks a fresh pool on the next parallel call.
-        results = engine.run_many(configs, workers=2, use_cache=False)
+        results = engine.run_many(configs, use_cache=False)
         assert len(results) == 2
 
 
@@ -106,15 +105,15 @@ class TestCancellation:
             engine.run_many(configs, cancel=cancel)
         # Two results were computed and written back before the cancel.
         assert engine.stats["computed"] == 2
-        assert engine.store.get(configs[0]) is not None
-        assert engine.store.get(configs[1]) is not None
-        assert engine.store.get(configs[2]) is None
+        assert engine.store.get(configs[0].cache_key()) is not None
+        assert engine.store.get(configs[1].cache_key()) is not None
+        assert engine.store.get(configs[2].cache_key()) is None
 
     def test_parallel_cancellation_salvages_finished_chunks(self, tmp_path):
         # Chunks are consumed in submission (longest-first) order, so a
         # short chunk finishing on another worker while the long one is
         # still running must be written back when the batch cancels.
-        engine = SimEngine(fast=True, store=tmp_path / "store")
+        engine = SimEngine(workers=2, fast=True, store=tmp_path / "store")
         cancel = threading.Event()
         long_config = SimulationConfig(
             benchmark="mcf", n_instructions=600_000, seed=7
@@ -125,17 +124,15 @@ class TestCancellation:
             timer.start()
             try:
                 with pytest.raises(RunCancelled):
-                    engine.run_many(
-                        [long_config, short_config], workers=2, cancel=cancel
-                    )
+                    engine.run_many([long_config, short_config], cancel=cancel)
             finally:
                 timer.cancel()
-            assert engine.store.get(short_config) is not None
+            assert engine.store.get(short_config.cache_key()) is not None
         finally:
             engine.terminate()
 
     def test_parallel_cancellation_raises(self):
-        engine = SimEngine(fast=True)
+        engine = SimEngine(workers=2, fast=True)
         cancel = threading.Event()
         configs = [
             SimulationConfig(benchmark=name, n_instructions=150_000, seed=3)
@@ -145,7 +142,7 @@ class TestCancellation:
         timer.start()
         try:
             with pytest.raises(RunCancelled):
-                engine.run_many(configs, workers=2, cancel=cancel)
+                engine.run_many(configs, cancel=cancel)
         finally:
             timer.cancel()
             engine.terminate()
@@ -161,12 +158,11 @@ sys.path.insert(0, {str(SRC)!r})
 from repro.sim.config import SimulationConfig
 from repro.sim.engine import SimEngine
 
-engine = SimEngine(fast=True)
+engine = SimEngine(workers=2, fast=True)
 # Pool workers spawn lazily; a small parallel call forces them up so
 # their pids are known before the long sweep starts.
 engine.run_many(
-    [SimulationConfig(benchmark=b, n_instructions=200) for b in ("gcc", "art")],
-    workers=2,
+    [SimulationConfig(benchmark=b, n_instructions=200) for b in ("gcc", "art")]
 )
 pids = [p.pid for p in engine._pool._processes.values()]
 print("PIDS " + ",".join(str(p) for p in pids), flush=True)
@@ -175,7 +171,7 @@ configs = [
     for b in ("gcc", "mcf", "art", "equake", "mesa", "vpr")
 ]
 try:
-    engine.run_many(configs, workers=2)
+    engine.run_many(configs)
 except KeyboardInterrupt:
     sys.exit(130)
 print("FINISHED", flush=True)

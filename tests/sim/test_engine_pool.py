@@ -22,31 +22,22 @@ def _tiny(benchmark="gcc", n=700, **kwargs):
 class TestPersistentPool:
     def test_pool_is_reused_across_calls(self):
         with SimEngine(workers=2) as engine:
-            engine.run_many([_tiny("gcc"), _tiny("mesa")], workers=2)
+            engine.run_many([_tiny("gcc"), _tiny("mesa")])
             first_pool = engine._pool
             assert first_pool is not None
             engine.clear()
-            engine.run_many([_tiny("art"), _tiny("vpr")], workers=2)
+            engine.run_many([_tiny("art"), _tiny("vpr")])
             assert engine._pool is first_pool
         assert engine._pool is None
 
-    def test_worker_count_change_recycles_pool(self):
-        with SimEngine(workers=2) as engine:
-            engine.run_many([_tiny("gcc"), _tiny("mesa")], workers=2)
-            first_pool = engine._pool
-            engine.clear()
-            engine.run_many([_tiny("gcc"), _tiny("mesa")], workers=3)
-            assert engine._pool is not first_pool
-            assert engine._pool_workers == 3
-
     def test_close_is_idempotent_and_reopens(self):
         engine = SimEngine(workers=2)
-        engine.run_many([_tiny("gcc"), _tiny("mesa")], workers=2)
+        engine.run_many([_tiny("gcc"), _tiny("mesa")])
         engine.close()
         engine.close()
         assert engine._pool is None
         engine.clear()
-        results = engine.run_many([_tiny("gcc"), _tiny("mesa")], workers=2)
+        results = engine.run_many([_tiny("gcc"), _tiny("mesa")])
         assert len(results) == 2
         engine.close()
 
@@ -61,9 +52,9 @@ class TestPersistentPool:
             for benchmark in ("gcc", "mesa", "art")
             for t in (100, 500)
         ]
-        serial = SimEngine().run_many(grid, workers=1)
-        with SimEngine() as engine:
-            parallel = engine.run_many(grid, workers=3)
+        serial = SimEngine().run_many(grid)
+        with SimEngine(workers=3) as engine:
+            parallel = engine.run_many(grid)
         assert [r.to_dict() for r in parallel] == [r.to_dict() for r in serial]
 
     def test_parallel_interleaved_input_keeps_result_order(self):
@@ -78,9 +69,9 @@ class TestPersistentPool:
             for t in (100, 500, 2000)
             for benchmark in ("gcc", "mesa", "art")
         ]
-        with SimEngine() as engine:
-            parallel = engine.run_many(grid, workers=3)
-        serial = SimEngine().run_many(grid, workers=1)
+        with SimEngine(workers=3) as engine:
+            parallel = engine.run_many(grid)
+        serial = SimEngine().run_many(grid)
         assert [r.benchmark for r in parallel] == [c.benchmark for c in grid]
         assert [r.to_dict() for r in parallel] == [r.to_dict() for r in serial]
 

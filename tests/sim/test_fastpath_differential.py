@@ -303,15 +303,15 @@ def test_compiled_trace_matches_generator_stream() -> None:
         assert compiled.micro_op(index) == uop
 
 
-def test_engine_fast_flag_shares_cache_with_reference() -> None:
-    engine = SimEngine()
+def test_engine_fast_flag_shares_cache_with_reference(tmp_path) -> None:
     config = SimulationConfig(benchmark="gcc", n_instructions=1200)
-    reference = engine.run(config, fast=False)
-    assert engine.stats["computed"] == 1
-    fast = engine.run(config, fast=True)
-    # Identical results mean identical cache keys: no recompute.
-    assert engine.stats["computed"] == 1
-    assert fast.to_dict() == reference.to_dict()
+    reference = SimEngine(store=tmp_path).run(config)
+    fast_engine = SimEngine(fast=True, store=tmp_path)
+    fast = fast_engine.run(config)
+    # Identical results mean one run key for both kernels: no recompute.
+    assert fast_engine.stats["computed"] == 0
+    assert fast.to_dict() == reference.to_dict() == execute_run_fast(config).to_dict()
+    assert reference.to_dict() == execute_run(config).to_dict()
 
 
 def test_fast_engine_sweep_matches_reference_sweep() -> None:

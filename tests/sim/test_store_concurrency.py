@@ -39,7 +39,7 @@ def _hammer(directory, rounds, barrier, failures):
     for round_number in range(rounds):
         for config, result in zip(configs, results):
             store.put(config, result)
-            read = store.get(config)
+            read = store.get(config.cache_key())
             # None (not yet published) is legal; a *different* payload —
             # which would mean interleaved/partial JSON parsed "fine" —
             # is not: both processes write identical deterministic results.
@@ -71,13 +71,13 @@ class TestConcurrentWriters:
 
         # Every surviving file parses as complete payload JSON.
         store = ResultStore(tmp_path / "store")
-        keys = store.keys()
-        assert len(keys) == len(_configs())
+        keys = sorted(path.stem for path in store.directory.glob("*.json"))
+        assert keys == sorted(config.cache_key() for config in _configs())
         for key in keys:
             payload = store.get_payload(key)
             assert payload is not None
             assert set(payload) == {"config", "result", "sha256"}
-            assert store.get_by_key(key) is not None
+            assert store.get(key) is not None
 
     def test_no_leftover_temp_files(self, tmp_path):
         store = ResultStore(tmp_path / "store")
@@ -95,9 +95,9 @@ class TestKeyAddressedAccess:
         config = SimulationConfig(benchmark="gcc", n_instructions=250)
         result = execute_run_fast(config)
         store.put(config, result)
-        key = ResultStore.key_for(config)
-        assert store.keys() == [key]
-        assert store.get_by_key(key).to_dict() == result.to_dict()
+        key = config.cache_key()
+        assert [path.stem for path in store.directory.glob("*.json")] == [key]
+        assert store.get(key).to_dict() == result.to_dict()
         payload = store.get_payload(key)
         assert payload["result"] == result.to_dict()
         assert SimulationConfig.from_dict(payload["config"]).cache_key() == (
@@ -115,8 +115,7 @@ class TestKeyAddressedAccess:
         store = ResultStore(tmp_path / "store")
         config = SimulationConfig(benchmark="gcc", n_instructions=250)
         store.put(config, execute_run_fast(config))
-        key = ResultStore.key_for(config)
+        key = config.cache_key()
         path = tmp_path / "store" / f"{key}.json"
         path.write_text(path.read_text()[: len(path.read_text()) // 2])
-        assert store.get_by_key(key) is None
-        assert store.get(config) is None
+        assert store.get(key) is None
