@@ -21,9 +21,12 @@ residency.
 This class is the *reference* cache model.  The batched fast path
 (:class:`repro.sim.fastpath._FastCache`) re-implements the tag/LRU/MSHR
 logic of :meth:`SetAssociativeCache.access` over flat arrays — for the
-L1s and the L2 alike — and must stay bit-identical — change access
-semantics here and there together (the differential suite in
-``tests/sim/test_fastpath_differential.py`` will catch a mismatch).
+L1s and the L2 alike — together with the bookkeeping of the static,
+oracle, on-demand and gated policies, and must stay bit-identical —
+change access semantics here and there together (the differential
+suites in ``tests/sim/test_fastpath_differential.py`` and
+``tests/property/test_fastcache_differential.py`` will catch a
+mismatch).
 """
 
 from __future__ import annotations

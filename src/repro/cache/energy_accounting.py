@@ -157,6 +157,10 @@ class EnergyLedger:
         exactly the unfused sequence's, so accumulated energies match
         bit-for-bit.  Returns ``True`` when the interval ended with the
         subarray isolated (i.e. the precharge devices were toggled).
+
+        The fast path's ``repro.sim.fastpath._FastCache.access`` holds a
+        second copy of this arithmetic for the built-in policies; change
+        the two together.
         """
         if interval <= hold_cycles:
             if interval > 0:
@@ -174,17 +178,31 @@ class EnergyLedger:
         """A read/write access touched the subarray."""
         self._accesses += 1
 
-    def note_access_batch(self, count: int) -> None:
-        """Record ``count`` accesses at once.
+    def note_batch(
+        self,
+        accesses: int,
+        precharged_cycles: float,
+        isolated_cycles: float,
+        isolated_energy_j: float,
+        toggles: int,
+    ) -> None:
+        """Add sums a caller accumulated itself, in one call.
 
-        The access tally is an independent integer accumulator, so a
-        caller that already counts its accesses (the fast-path cache
-        model) may defer the ledger update to one batched call — the
-        resulting breakdown is identical.
+        The fast-path cache model counts its accesses and performs
+        :meth:`note_gated_interval`'s arithmetic for the built-in
+        hold-then-isolate policies in its own accumulators, starting
+        from this ledger's zeros.  Handed over before anything else
+        writes the ledger (``0.0 + x == x``), and before the policy
+        closes its open intervals, every float addition happens in the
+        unbatched order, so the breakdown is bit-identical.
         """
-        if count < 0:
-            raise ValueError("count must be non-negative")
-        self._accesses += count
+        if accesses < 0 or toggles < 0:
+            raise ValueError("counts must be non-negative")
+        self._accesses += accesses
+        self._precharged_cycles += precharged_cycles
+        self._isolated_cycles += isolated_cycles
+        self._isolated_energy_j += isolated_energy_j
+        self._toggles += toggles
 
     # ------------------------------------------------------------------
     @property

@@ -13,6 +13,11 @@ Gated precharging therefore exploits subarray reference locality: most
 accesses fall on a small set of recently used subarrays (Figures 5 and 6),
 so keeping just those precharged captures nearly all of the oracle's
 potential savings while delaying almost no accesses.
+
+The fast path does not call this class per access:
+``repro.sim.fastpath._FastCache`` performs the same bookkeeping itself
+(see ``repro.sim.fastpath._compiled_policy``), so a change to
+:meth:`GatedPrechargePolicy._on_access` must be made there too.
 """
 
 from __future__ import annotations

@@ -7,6 +7,11 @@ pull-up never fits in the remaining decode time, so *every* access pays
 the pull-up penalty (one cycle for the studied technologies).  The paper
 measures the resulting slowdown at ~9% for data caches and ~7% for
 instruction caches, which is why it rejects on-demand precharging for L1.
+
+The fast path does not call this class per access:
+``repro.sim.fastpath._FastCache`` performs the same bookkeeping itself
+(see ``repro.sim.fastpath._compiled_policy``), so a change to
+:meth:`OnDemandPrechargePolicy._on_access` must be made there too.
 """
 
 from __future__ import annotations

@@ -10,6 +10,11 @@ The residual discharge the oracle cannot remove comes from two places
 (Section 4): bitlines re-accessed soon after isolation have not decayed
 far, and every access toggles the precharge devices (negligible at 70nm,
 dominant at 180nm).
+
+The fast path does not call this class per access:
+``repro.sim.fastpath._FastCache`` performs the same bookkeeping itself
+(see ``repro.sim.fastpath._compiled_policy``), so a change to
+:meth:`OraclePrechargePolicy._on_access` must be made there too.
 """
 
 from __future__ import annotations

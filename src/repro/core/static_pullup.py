@@ -4,6 +4,11 @@ Every subarray's bitlines are statically connected to the supply at all
 times (Section 2).  No access ever pays a precharge penalty, and the
 bitline discharge of every subarray accrues on every cycle — this is the
 normalisation baseline for all the paper's relative-discharge figures.
+
+The fast path does not call this class per access:
+``repro.sim.fastpath._FastCache`` performs the same bookkeeping itself
+(see ``repro.sim.fastpath._compiled_policy``), so a change to
+:meth:`StaticPullUpPolicy._on_access` must be made there too.
 """
 
 from __future__ import annotations

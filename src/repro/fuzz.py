@@ -21,11 +21,13 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, replace
+import random
+from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Callable, Dict, Iterator, List, Optional, Tuple
+from typing import Any, Callable, Dict, Iterator, List, Mapping, Optional, Tuple
 
 from .core.registry import PolicySpec
+from .core.threshold import CANDIDATE_THRESHOLDS
 from .sim.config import SimulationConfig
 from .sim.engine import execute_run, execute_run_fast
 from .workloads.fuzzgen import DEFAULT_FUZZ_DEPTH, generate_scenario
@@ -40,7 +42,9 @@ from .workloads.grammar import (
 
 __all__ = [
     "DEFAULT_FUZZ_INSTRUCTIONS",
+    "FUZZ_POLICIES",
     "FuzzResult",
+    "draw_policies",
     "fuzz_config",
     "load_corpus",
     "run_campaign",
@@ -59,24 +63,55 @@ DEFAULT_FUZZ_INSTRUCTIONS = 2000
 DEFAULT_CORPUS_DIR = Path("tests") / "fuzz_corpus"
 
 
+#: The built-in policies a fuzz run draws from, for every cache level.
+FUZZ_POLICIES = ("static", "oracle", "on-demand", "gated", "gated-predecode", "resizable")
+
+
+def _draw_spec(rng: random.Random) -> PolicySpec:
+    name = rng.choice(FUZZ_POLICIES)
+    if name in ("oracle", "on-demand"):
+        return PolicySpec(name, {"hold_cycles": rng.randint(1, 3)})
+    if name in ("gated", "gated-predecode"):
+        return PolicySpec(name, {
+            "threshold": rng.choice(CANDIDATE_THRESHOLDS),
+            "predecode_lead_cycles": rng.randint(1, 3),
+        })
+    if name == "resizable":
+        # Short enough to resize within a default-length fuzz run.
+        return PolicySpec(name, {"interval_accesses": rng.choice((100, 500, 2000))})
+    return PolicySpec(name)
+
+
+def draw_policies(fuzz_seed: int) -> Dict[str, PolicySpec]:
+    """Each cache level's policy for one fuzz seed.
+
+    Every level draws one of :data:`FUZZ_POLICIES` and its parameters
+    from a small table (gated thresholds from ``CANDIDATE_THRESHOLDS``,
+    hold and predecode-lead cycles 1-3, resizing intervals of 100-2,000
+    accesses), so a campaign exercises every policy the fast path
+    bookkeeps itself as well as the ones it calls through their object.
+    """
+    rng = random.Random(f"fuzz-policy:{fuzz_seed}")
+    return {level: _draw_spec(rng) for level in ("dcache", "icache", "l2")}
+
+
 def fuzz_config(
     benchmark: str,
     n_instructions: int = DEFAULT_FUZZ_INSTRUCTIONS,
     seed: int = 1,
+    policies: Optional[Mapping[str, PolicySpec]] = None,
 ) -> SimulationConfig:
-    """The configuration fuzz runs use: every cache level precharge-gated.
+    """The configuration of one fuzz run.
 
-    Gated policies at both L1s *and* the L2 maximise the surface where
-    the kernels could diverge (precharge penalties folded into miss
-    latencies, subarray activation bookkeeping, L2 writeback traffic).
+    ``policies`` maps ``dcache``, ``icache`` and ``l2`` to specs (a
+    campaign passes :func:`draw_policies`); a level it leaves out keeps
+    the configuration's default.
     """
     return SimulationConfig(
         benchmark=benchmark,
-        dcache="gated",
-        icache="gated",
-        l2=PolicySpec("gated", {"threshold": 500}),
         n_instructions=n_instructions,
         seed=seed,
+        **(policies or {}),
     )
 
 
@@ -231,12 +266,15 @@ class FuzzResult:
     matched: bool
     reproducer: Optional[str] = None
     corpus_path: Optional[str] = None
+    #: The drawn policy per cache level, as ``PolicySpec.to_dict()``.
+    policies: Dict[str, Any] = field(default_factory=dict)
 
     def to_dict(self) -> Dict[str, object]:
         payload: Dict[str, object] = {
             "name": self.name,
             "canonical": self.canonical,
             "status": "match" if self.matched else "mismatch",
+            "policies": self.policies,
         }
         if self.reproducer is not None:
             payload["reproducer"] = self.reproducer
@@ -258,9 +296,11 @@ def run_campaign(
 
     Seeds are ``seed_base .. seed_base + budget - 1``, so a fixed
     ``--seed-base`` makes the campaign a regression gate and a rotating
-    one makes it an explorer.  Every mismatch is shrunk to a minimal
-    reproducer; with ``corpus_dir`` set it is also written there for
-    tier-1 to replay.  Returns a JSON-ready report.
+    one makes it an explorer.  Each seed draws the scenario and every
+    cache level's policy.  Every mismatch is shrunk to a minimal
+    reproducer under the same policies; with ``corpus_dir`` set it is
+    also written there for tier-1 to replay.  Returns a JSON-ready
+    report.
     """
     if budget < 1:
         raise ValueError("fuzz budget must be positive")
@@ -270,35 +310,34 @@ def run_campaign(
         name = f"fuzz:{fuzz_seed}/{depth}"
         root = generate_scenario(fuzz_seed, depth)
         canonical = unparse(root)
-        config = fuzz_config(
-            name, n_instructions=n_instructions, seed=workload_seed
-        )
-        if run_differential(config):
-            result = FuzzResult(name=name, canonical=canonical, matched=True)
-        else:
-            def still_failing(candidate: Group) -> bool:
-                return not run_differential(
-                    fuzz_config(
-                        unparse(candidate),
-                        n_instructions=n_instructions,
-                        seed=workload_seed,
-                    )
-                )
+        policies = draw_policies(fuzz_seed)
 
-            minimal = shrink_scenario(root, still_failing)
+        def config_for(benchmark: str) -> SimulationConfig:
+            return fuzz_config(
+                benchmark,
+                n_instructions=n_instructions,
+                seed=workload_seed,
+                policies=policies,
+            )
+
+        drawn = {level: spec.to_dict() for level, spec in policies.items()}
+        if run_differential(config_for(name)):
+            result = FuzzResult(
+                name=name, canonical=canonical, matched=True, policies=drawn
+            )
+        else:
+            minimal = shrink_scenario(
+                root,
+                lambda candidate: not run_differential(config_for(unparse(candidate))),
+            )
             reproducer = unparse(minimal)
             result = FuzzResult(
-                name=name, canonical=canonical, matched=False, reproducer=reproducer
+                name=name, canonical=canonical, matched=False,
+                reproducer=reproducer, policies=drawn,
             )
             if corpus_dir is not None:
                 path = write_corpus_entry(
-                    corpus_dir,
-                    fuzz_config(
-                        reproducer,
-                        n_instructions=n_instructions,
-                        seed=workload_seed,
-                    ),
-                    origin=name,
+                    corpus_dir, config_for(reproducer), origin=name
                 )
                 result.corpus_path = str(path)
         results.append(result)

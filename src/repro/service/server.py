@@ -475,14 +475,16 @@ class ServiceServer:
         metrics = self.telemetry.snapshot()
         engine_stats = dict(self.engine.stats)
         counters = metrics.get("counters", {})
-        # Only the lookup-outcome counters — the engine's recovery
-        # stats (pool rebuilds, chunk retries) are not lookups and must
-        # not dilute the hit rate.
-        lookups = (
-            engine_stats.get("memory_hits", 0)
+        # Units admission served from the engine's cache (through the
+        # uncounted SimEngine.lookup) are hits too.  Only lookup
+        # outcomes count: the engine's recovery stats (pool rebuilds,
+        # chunk retries) are not lookups and must not dilute the rate.
+        hits = (
+            counters.get("units_cached", 0)
+            + engine_stats.get("memory_hits", 0)
             + engine_stats.get("store_hits", 0)
-            + engine_stats.get("computed", 0)
         )
+        lookups = hits + engine_stats.get("computed", 0)
         metrics["queue_depth"] = self.board.depth()
         metrics["queue_depth_by_priority"] = {
             str(priority): depth
@@ -491,11 +493,7 @@ class ServiceServer:
         metrics["pending_units"] = self.board.pending_units()
         metrics["engine"] = engine_stats
         metrics["engine_cache_hit_rate"] = (
-            round(
-                (engine_stats["memory_hits"] + engine_stats["store_hits"]) / lookups, 4
-            )
-            if lookups
-            else None
+            round(hits / lookups, 4) if lookups else None
         )
         # Robustness surface: every recovery the stack performed, in
         # one place, so a chaos campaign (or an operator) can see

@@ -25,15 +25,20 @@ comes from restructuring, not from approximating:
   dispatch or fetch) are skipped in one arithmetic step instead of being
   walked cycle by cycle;
 * the cache levels — both L1s *and* the unified L2 — are flat
-  tag/LRU/MSHR arrays (:class:`_FastCache`) that delegate *policy
-  decisions* to the very same
-  :class:`~repro.core.policies.BasePrechargePolicy` objects and
-  :class:`~repro.cache.energy_accounting.EnergyLedger` arithmetic the
-  reference model uses, in the same call order — which is what makes the
-  energy numbers (floating point, order-sensitive) match to the bit.
-  Policy hooks that the base class defines as identity/no-op
-  (``remap_set``, ``note_outcome``) are detected at wiring time and
-  elided from the per-access path.
+  tag/LRU arrays with dicts for residency and the MSHR file
+  (:class:`_FastCache`).
+  The four hold-then-isolate built-in policies (static, oracle,
+  on-demand, gated) are bookkept inside the cache: it performs
+  :meth:`~repro.cache.energy_accounting.EnergyLedger.note_gated_interval`'s
+  arithmetic in its own accumulators, in the same order, and hands the
+  sums to the ledger before the policy closes its open intervals —
+  which is what makes the energy numbers (floating point,
+  order-sensitive) match to the bit.  Every other policy (the resizable
+  baseline, registered and subclassed policies) is the very
+  :class:`~repro.core.policies.BasePrechargePolicy` object the reference
+  model uses, called in the same order; the hooks its base class
+  defines as identity/no-op (``remap_set``, ``note_outcome``) are
+  detected at wiring time and elided from the per-access path.
 
 Every behavioural quirk of the reference model is reproduced on purpose
 (monotonic cycle clamping, the i-cache line not being re-probed after a
@@ -65,10 +70,13 @@ from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
 from repro.cache.energy_accounting import EnergyBreakdown, EnergyLedger
 from repro.cache.hierarchy import MainMemory
-from repro.cache.mshr import MSHRFile
 from repro.circuits.cacti import CacheOrganization
 from repro.circuits.technology import get_technology
+from repro.core.gated import GatedPrechargePolicy
+from repro.core.on_demand import OnDemandPrechargePolicy
+from repro.core.oracle import OraclePrechargePolicy
 from repro.core.policies import BasePrechargePolicy
+from repro.core.static_pullup import StaticPullUpPolicy
 from repro.cpu.branch_predictor import DEFAULT_HISTORY_BITS, DEFAULT_TABLE_BITS
 from repro.cpu.stats import PipelineStats
 from repro.energy.cache_energy import combine_run_energy
@@ -807,32 +815,67 @@ def clear_trace_cache(disk: bool = True) -> None:
             pass
 
 
+def _compiled_policy(controller) -> Optional[Tuple[int, int, int, bool]]:
+    """How :class:`_FastCache` performs a built-in policy's bookkeeping itself.
+
+    Static, oracle, on-demand and gated precharging all hold a subarray
+    precharged for a fixed number of cycles after each access and
+    isolate it afterwards (static never isolates).  For those four the
+    cache performs :meth:`EnergyLedger.note_gated_interval`'s arithmetic
+    inline and returns ``(hold cycles, penalty when the interval ended
+    precharged, penalty when it ended isolated, predecodes)``.  Any
+    other controller — the resizable baseline, a registered policy, a
+    subclass of a built-in (which may override ``_on_access``) — gets
+    ``None`` and is called through its object, so the test is on the
+    exact type.
+    """
+    controller_type = type(controller)
+    if controller_type is StaticPullUpPolicy:
+        return _NEVER, 0, 0, False
+    if controller_type is OraclePrechargePolicy:
+        return controller.hold_cycles, 0, 0, False
+    if controller_type is OnDemandPrechargePolicy:
+        penalty = controller.penalty_cycles_per_delayed_access
+        return controller.hold_cycles, penalty, penalty, False
+    if controller_type is GatedPrechargePolicy:
+        penalty = controller.penalty_cycles_per_delayed_access
+        return controller.threshold, 0, penalty, controller.use_predecode
+    return None
+
+
 class _FastCache:
     """Flat-array cache level, behaviourally identical to the reference model.
 
-    Tag match, LRU victim selection and statistics are inlined over flat
-    per-way lists (one contiguous list per attribute, indexed by
-    ``set * assoc + way``); the precharge policy and the energy ledger
-    are the same objects the reference path uses, called in the same
-    order with the same arguments.  Policy hooks the base class defines
-    as identity/no-op (``remap_set``, ``note_outcome``) are elided at
-    wiring time.  One class serves every level: the L1s are wired to the
-    shared flat L2, the L2 to the
-    :class:`~repro.cache.hierarchy.MainMemory` model (misses below a
-    fast next level consume its returned latency directly; a non-fast
-    next level is consulted through the reference ``AccessResult``
-    protocol).
+    Tag match, LRU victim selection, the MSHR file and statistics are
+    inlined over flat per-way lists (one contiguous list per attribute,
+    indexed by ``set * assoc + way``) and two dicts: resident line to
+    way, and missing line to fill ready cycle.  The four
+    hold-then-isolate built-in policies (see
+    :func:`_compiled_policy`) are bookkept here too: their residency
+    sums accumulate in this object, with the ledger's arithmetic in the
+    ledger's order, and reach the ledger in :meth:`finalize` before the
+    policy closes its open intervals.  Every other policy is the object
+    the reference path uses, called in the same order with the same
+    arguments; its identity ``remap_set`` / no-op ``note_outcome`` hooks
+    are elided at wiring time.  One class serves every level: the L1s
+    are wired to the shared flat L2, the L2 to the
+    :class:`~repro.cache.hierarchy.MainMemory` model, whose fixed line
+    fill latency is read once.
     """
 
     __slots__ = (
-        "organization", "name", "base_latency", "controller", "next_level",
-        "mshrs", "ledger", "_tags", "_lines", "_dirty", "_last_used",
-        "_sub_last", "gaps", "accesses", "hits", "misses", "writebacks",
-        "precharge_penalties", "penalty_cycles", "_last_cycle",
+        "organization", "name", "base_latency", "controller", "ledger",
+        "_below", "_fill_latency", "_mshr", "_mshr_entries",
+        "_keys", "_where", "_lines", "_dirty", "_last_used",
+        "_sub_last", "gaps", "accesses", "misses", "writebacks",
+        "precharge_penalties", "_last_cycle",
         "_offset_bits", "_n_sets", "_assoc", "_sets_per_subarray",
-        "_next_is_fast", "_remap", "_note_outcome", "_policy_access",
+        "_hold", "_penalty_held", "_penalty_isolated", "_predecode",
+        "_isolated_energy", "_precharged_cycles", "_isolated_cycles",
+        "_isolated_j", "_toggles",
+        "_remap", "_note_outcome", "_policy_access",
         "_policy_on_access", "_policy_stats", "_policy_last",
-        "_accesses_flushed", "_prof",
+        "_flushed", "_prof",
     )
 
     def __init__(
@@ -844,31 +887,59 @@ class _FastCache:
         mshr_entries: int,
         base_latency: int,
     ) -> None:
+        if mshr_entries < 1:
+            raise ValueError("need at least one MSHR entry")
         self.organization = organization
         self.name = name
         self.base_latency = base_latency
         self.controller = controller
-        self.next_level = next_level
-        self._next_is_fast = isinstance(next_level, _FastCache)
-        self.mshrs = MSHRFile(mshr_entries)
+        # Below a flat level sits another flat level or main memory; a
+        # memory fill always costs the same, and a writeback into memory
+        # changes nothing a run reports.
+        if isinstance(next_level, _FastCache):
+            self._below: Optional[_FastCache] = next_level
+            self._fill_latency = 0
+        else:
+            self._below = None
+            self._fill_latency = next_level.line_fill_latency
+        #: Outstanding misses: line address -> fill ready cycle.
+        self._mshr: Dict[int, int] = {}
+        self._mshr_entries = mshr_entries
         n_sets = organization.n_sets
         assoc = organization.associativity
         self._n_sets = n_sets
         self._assoc = assoc
         self._offset_bits = organization.offset_bits
         self._sets_per_subarray = organization.sets_per_subarray
-        # -1 tags mark invalid ways (real tags are non-negative).
-        self._tags = [-1] * (n_sets * assoc)
+        #: Resident (tag, set) key per way, -1 for an invalid way, and
+        #: the way holding each resident key.
+        self._keys = [-1] * (n_sets * assoc)
+        self._where: Dict[int, int] = {}
         #: Original (pre-remap) line address per way, for writebacks.
         self._lines = [-1] * (n_sets * assoc)
         self._dirty = [False] * (n_sets * assoc)
         self._last_used = [0] * (n_sets * assoc)
+        #: Clamped cycle of each subarray's last access, -1 before the
+        #: first — the reference tracker's and the policy's last-access
+        #: lists, which always hold the same cycles.
         self._sub_last = [-1] * organization.n_subarrays
         #: Inter-access subarray gaps in observation order (the reference
         #: tracker's ``access_gaps()``).
         self.gaps: List[int] = []
         self.ledger = EnergyLedger(organization.subarray, organization.n_subarrays)
         self.controller.attach(organization, self.ledger)
+        compiled = _compiled_policy(controller)
+        # _hold == 0 routes every access through the policy object.
+        self._hold, self._penalty_held, self._penalty_isolated, self._predecode = (
+            compiled if compiled is not None else (0, 0, 0, False)
+        )
+        self._isolated_energy = organization.subarray.isolated_discharge_energy_j
+        # The compiled policies' ledger sums; nothing else writes the
+        # ledger before finalize(), so they start where it starts.
+        self._precharged_cycles = 0.0
+        self._isolated_cycles = 0.0
+        self._isolated_j = 0.0
+        self._toggles = 0
         # Per-access dynamic dispatch, resolved once: policies that keep
         # the base class's identity remap / no-op outcome hook skip the
         # calls entirely (every built-in but the resizable baseline).
@@ -884,10 +955,9 @@ class _FastCache:
             else controller.note_outcome
         )
         self._policy_access = controller.access
-        # When the policy keeps the base class's access() bookkeeping
-        # (every built-in does), perform it inline and call the
-        # subclass hook directly — one interpreter frame less on the
-        # hottest call of the simulation.  A policy that overrides
+        # When the policy keeps the base class's access() bookkeeping,
+        # perform it inline and call the subclass hook directly — one
+        # interpreter frame less per access.  A policy that overrides
         # access() gets the full dynamic call instead.
         if controller_type.access is BasePrechargePolicy.access:
             self._policy_on_access = controller._on_access
@@ -898,13 +968,11 @@ class _FastCache:
             self._policy_stats = None
             self._policy_last = None
         self.accesses = 0
-        self.hits = 0
         self.misses = 0
         self.writebacks = 0
         self.precharge_penalties = 0
-        self.penalty_cycles = 0
         self._last_cycle = 0
-        self._accesses_flushed = False
+        self._flushed = False
         # Armed kernel profiler, or None.  Bound once at construction:
         # the chunk that builds the hierarchy is the chunk that runs it.
         self._prof = _obs_profile.active()
@@ -935,63 +1003,117 @@ class _FastCache:
         set_index = raw_set if remap is None else remap(raw_set, n_sets)
         subarray = set_index // self._sets_per_subarray
 
+        # Cycles are clamped monotonic, so a gap is never negative; a
+        # subarray's first access counts its gap from cycle 0 (the
+        # policy's rule) but records none (the tracker's).
         sub_last = self._sub_last
         previous = sub_last[subarray]
-        if previous >= 0:
-            self.gaps.append(cycle - previous if cycle > previous else 0)
+        if previous < 0:
+            gap = cycle
+        else:
+            gap = cycle - previous
+            self.gaps.append(gap)
         sub_last[subarray] = cycle
         # The ledger's dynamic-access tally is batched into finalize()
         # (it is an order-independent integer count).
 
-        on_access = self._policy_on_access
-        if on_access is not None:
-            # Inlined BasePrechargePolicy.access bookkeeping (identical
-            # statements in identical order).
-            policy_stats = self._policy_stats
-            policy_stats.accesses += 1
-            policy_last = self._policy_last
-            previous_access = policy_last[subarray]
-            if previous_access is None:
-                gap = cycle
+        hold = self._hold
+        if hold:
+            # EnergyLedger.note_gated_interval, statement for statement.
+            if gap <= hold:
+                if gap > 0:
+                    self._precharged_cycles += gap
+                penalty = self._penalty_held
             else:
-                gap = cycle - previous_access
-                if gap < 0:
-                    gap = 0
-            penalty = on_access(subarray, cycle, gap, base_address, address)
-            policy_last[subarray] = cycle
-            if penalty > 0:
-                policy_stats.delayed_accesses += 1
-                policy_stats.penalty_cycles += penalty
+                self._precharged_cycles += hold
+                isolated = gap - hold
+                self._isolated_cycles += isolated
+                self._isolated_j += self._isolated_energy(isolated)
+                self._toggles += 1
+                penalty = self._penalty_isolated
+                if (
+                    self._predecode
+                    and base_address is not None
+                    and ((base_address >> self._offset_bits) % n_sets)
+                    // self._sets_per_subarray == subarray
+                ):
+                    # Predecoding named the subarray: re-precharged in time.
+                    penalty = 0
         else:
-            penalty = self._policy_access(subarray, cycle, base_address, address)
+            on_access = self._policy_on_access
+            if on_access is not None:
+                # Inlined BasePrechargePolicy.access bookkeeping (identical
+                # statements in identical order).
+                policy_stats = self._policy_stats
+                policy_stats.accesses += 1
+                policy_last = self._policy_last
+                previous_access = policy_last[subarray]
+                if previous_access is None:
+                    gap = cycle
+                else:
+                    gap = cycle - previous_access
+                    if gap < 0:
+                        gap = 0
+                penalty = on_access(subarray, cycle, gap, base_address, address)
+                policy_last[subarray] = cycle
+                if penalty > 0:
+                    policy_stats.delayed_accesses += 1
+                    policy_stats.penalty_cycles += penalty
+            else:
+                penalty = self._policy_access(subarray, cycle, base_address, address)
         if penalty > 0:
             self.precharge_penalties += 1
-            self.penalty_cycles += penalty
 
-        assoc = self._assoc
-        way_base = set_index * assoc
-        way_end = way_base + assoc
-        tags = self._tags
-        hit_way = -1
-        for way in range(way_base, way_end):
-            if tags[way] == tag:
-                hit_way = way
-                break
-
+        # A resident line is found by its (tag, set) pair, which is the
+        # line address unless the policy remaps sets.
+        key = line if remap is None else tag * n_sets + set_index
+        hit_way = self._where.get(key)
         latency = self.base_latency + penalty
-        if hit_way >= 0:
+        if hit_way is not None:
             self._last_used[hit_way] = cycle
             if write:
                 self._dirty[hit_way] = True
-            self.hits += 1
             hit = True
         else:
             self.misses += 1
             hit = False
-            latency += self._service_miss(address, cycle)
+            below = self._below
+            mshr = self._mshr
+            ready = mshr.get(line)
+            if ready is not None:
+                # Secondary miss: wait for the outstanding fill (even one
+                # due already but not yet retired).
+                service = ready - cycle
+                if service < 1:
+                    service = 1
+            else:
+                if below is None:
+                    service = self._fill_latency
+                else:
+                    service = below.access(address, cycle, False, None)[1]
+                if mshr:
+                    for done in [pending for pending, due in mshr.items() if due <= cycle]:
+                        del mshr[done]
+                    if len(mshr) >= self._mshr_entries:
+                        # Full: stall until the earliest fill retires.
+                        stall = min(mshr.values()) - cycle
+                        if stall < 1:
+                            stall = 1
+                        service += stall
+                        free_at = cycle + stall
+                        for done in [
+                            pending for pending, due in mshr.items() if due <= free_at
+                        ]:
+                            del mshr[done]
+                mshr[line] = cycle + service
+            latency += service
+            keys = self._keys
+            assoc = self._assoc
+            way_base = set_index * assoc
+            way_end = way_base + assoc
             victim = -1
             for way in range(way_base, way_end):
-                if tags[way] < 0:
+                if keys[way] < 0:
                     victim = way
                     break
             if victim < 0:
@@ -1003,18 +1125,21 @@ class _FastCache:
                         oldest = last_used[way]
                         victim = way
             dirty = self._dirty
-            if tags[victim] >= 0 and dirty[victim]:
-                self.writebacks += 1
-                # Drain the dirty victim to the next level (same point in
-                # the access sequence as the reference model: after the
-                # fill request, before the overwrite).  The recorded
-                # pre-remap line address is used, like the reference.
-                wb_address = self._lines[victim] << self._offset_bits
-                if self._next_is_fast:
-                    self.next_level.access(wb_address, cycle, True, None)
-                else:
-                    self.next_level.access(wb_address, cycle, write=True)
-            tags[victim] = tag
+            evicted = keys[victim]
+            if evicted >= 0:
+                del self._where[evicted]
+                if dirty[victim]:
+                    self.writebacks += 1
+                    # Drain the dirty victim to the next level (same point
+                    # in the access sequence as the reference model: after
+                    # the fill request, before the overwrite).  The recorded
+                    # pre-remap line address is used, like the reference.
+                    if below is not None:
+                        below.access(
+                            self._lines[victim] << self._offset_bits, cycle, True, None
+                        )
+            keys[victim] = key
+            self._where[key] = victim
             self._lines[victim] = line
             dirty[victim] = write
             self._last_used[victim] = cycle
@@ -1029,28 +1154,6 @@ class _FastCache:
                 prof.cache_s += _perf() - _cache_t0
         return hit, latency, penalty
 
-    def _service_miss(self, address: int, cycle: int) -> int:
-        line_addr = address >> self._offset_bits
-        mshrs = self.mshrs
-        existing = mshrs.outstanding(line_addr)
-        if existing is not None:
-            return max(1, existing.ready_cycle - cycle)
-
-        if self._next_is_fast:
-            service = self.next_level.access(address, cycle, False, None)[1]
-        else:
-            service = self.next_level.access(address, cycle).latency
-
-        mshrs.retire_completed(cycle)
-        entry = mshrs.allocate(line_addr, ready_cycle=cycle + service)
-        if entry is None:
-            earliest = mshrs.earliest_ready_cycle()
-            stall = max(1, (earliest - cycle)) if earliest is not None else 1
-            service += stall
-            mshrs.retire_completed(cycle + stall)
-            mshrs.allocate(line_addr, ready_cycle=cycle + service)
-        return service
-
     # ------------------------------------------------------------------
     @property
     def miss_ratio(self) -> float:
@@ -1059,9 +1162,18 @@ class _FastCache:
         return self.misses / self.accesses
 
     def finalize(self, end_cycle: int) -> EnergyBreakdown:
-        if not self._accesses_flushed:
-            self._accesses_flushed = True
-            self.ledger.note_access_batch(self.accesses)
+        if not self._flushed:
+            self._flushed = True
+            self.ledger.note_batch(
+                self.accesses, self._precharged_cycles, self._isolated_cycles,
+                self._isolated_j, self._toggles,
+            )
+            if self._hold:
+                # The policy closes every subarray's open interval from
+                # the last access the cache recorded for it.
+                self.controller._last_access[:] = [
+                    None if last < 0 else last for last in self._sub_last
+                ]
         self.controller.finalize(end_cycle)
         return self.ledger.breakdown(max(1, end_cycle))
 
@@ -1279,8 +1391,9 @@ def _simulate(
                 if kind == K_LOAD:
                     dcache_accesses += 1
                     address = t_addr[trace_index]
+                    base = t_base[trace_index]
                     hit, latency, pre_penalty = l1d_access(
-                        address, cycle, False, t_base[trace_index]
+                        address, cycle, False, None if base < 0 else base
                     )
                     if pre_penalty > 0:
                         delayed_loads += 1
@@ -1308,8 +1421,9 @@ def _simulate(
                     o_complete[seq] = complete
                 elif kind == K_STORE:
                     dcache_accesses += 1
+                    base = t_base[trace_index]
                     l1d_access(
-                        t_addr[trace_index], cycle, True, t_base[trace_index]
+                        t_addr[trace_index], cycle, True, None if base < 0 else base
                     )
                     # Stores complete once sent to the LSQ; the write
                     # drains in the background.

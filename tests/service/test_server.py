@@ -308,6 +308,19 @@ class TestRobustnessMetrics:
         assert lookups == 1
         assert metrics["engine_cache_hit_rate"] == 0.0
 
+    def test_cache_hit_rate_counts_units_served_at_admission(self, server):
+        # The second submission's unit is served from the engine's cache
+        # at admission, without a counted engine lookup: one computed
+        # unit and one cached unit make a rate of one half.
+        for _ in range(2):
+            status, receipt, _ = _post(server, json.dumps(_payload()).encode())
+            assert status == 202
+            self._wait_terminal(server, receipt["id"])
+        status, metrics, _ = server.dispatch("GET", "/metrics", None)
+        assert metrics["counters"]["units_cached"] == 1
+        assert metrics["engine"]["computed"] == 1
+        assert metrics["engine_cache_hit_rate"] == 0.5
+
 
 class TestInjectedServiceFaults:
     """Failpoints at the HTTP boundary and the journal's write path."""

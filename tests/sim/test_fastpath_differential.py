@@ -234,6 +234,35 @@ def test_trace_replay_workload(tmp_path) -> None:
     )
 
 
+@pytest.mark.parametrize("threshold", [10, 100])
+def test_trace_without_base_registers(tmp_path, threshold: int) -> None:
+    # A trace file may record memory ops with no base register.  The
+    # predecoder then has nothing to predict from, so every access that
+    # finds its subarray isolated pays the pull-up; the fast path must
+    # not read the column's "no base" sentinel as an address.  At 8 KB
+    # subarrays the sentinel names subarray 0 and matches many accesses.
+    import dataclasses
+    from itertools import islice
+
+    from repro.workloads.synthetic import make_workload
+    from repro.workloads.tracefile import write_trace
+
+    path = tmp_path / "nobase.trace.gz"
+    stream = islice(make_workload("gcc", seed=1).instructions(), 5000)
+    write_trace(
+        path, (dataclasses.replace(uop, base_address=None) for uop in stream)
+    )
+    config = SimulationConfig(
+        benchmark=f"trace:{path}",
+        dcache=PolicySpec("gated-predecode", {"threshold": threshold}),
+        subarray_bytes=8192,
+        n_instructions=5000,
+    )
+    reference = execute_run(config)
+    assert reference.dcache_delayed_accesses > 0
+    assert execute_run_fast(config).to_dict() == reference.to_dict()
+
+
 def test_exhausted_trace_drains_identically(tmp_path) -> None:
     # Fewer ops recorded than requested: both paths must drain the
     # pipeline early the same way.

@@ -4,8 +4,11 @@ from __future__ import annotations
 
 import json
 
+from repro import fuzz
 from repro.fuzz import (
+    FUZZ_POLICIES,
     corpus_filename,
+    draw_policies,
     fuzz_config,
     load_corpus,
     run_campaign,
@@ -135,3 +138,37 @@ class TestCampaign:
     def test_seed_base_shifts_the_block(self):
         report = run_campaign(budget=1, seed_base=7, depth=1, n_instructions=400)
         assert report["results"][0]["name"] == "fuzz:7/1"
+
+
+class TestPolicyDraw:
+    def test_draw_is_fixed_by_the_seed(self):
+        assert draw_policies(5) == draw_policies(5)
+        assert fuzz_config("gcc", policies=draw_policies(5)).dcache == (
+            draw_policies(5)["dcache"]
+        )
+
+    def test_every_level_draws_every_builtin(self):
+        draws = [draw_policies(seed) for seed in range(80)]
+        for level in ("dcache", "icache", "l2"):
+            assert {draw[level].name for draw in draws} == set(FUZZ_POLICIES)
+
+    def test_report_records_the_drawn_specs(self):
+        report = run_campaign(budget=1, seed_base=3, depth=1, n_instructions=400)
+        assert report["results"][0]["policies"] == {
+            level: spec.to_dict() for level, spec in draw_policies(3).items()
+        }
+
+    def test_reproducer_keeps_the_drawn_specs(self, tmp_path, monkeypatch):
+        # Every candidate "mismatches", so the shrinker runs to the end
+        # and the corpus entry must still carry the seed's policies.
+        monkeypatch.setattr(fuzz, "run_differential", lambda config: False)
+        report = run_campaign(
+            budget=1, seed_base=4, depth=2, n_instructions=400, corpus_dir=tmp_path
+        )
+        assert report["mismatches"] == 1
+        [(origin, config)] = load_corpus(tmp_path)
+        drawn = draw_policies(4)
+        assert origin == "fuzz:4/2"
+        assert (config.dcache, config.icache, config.l2) == (
+            drawn["dcache"], drawn["icache"], drawn["l2"]
+        )
