@@ -304,8 +304,8 @@ class SetAssociativeCache:
         line_addr = self.line_address(address)
         existing = self.mshrs.outstanding(line_addr)
         if existing is not None:
-            # Secondary miss: wait for the already-outstanding fill.
-            self.mshrs.merged_misses += 0  # merged accounting in allocate()
+            # Secondary miss: merge into the outstanding fill and wait.
+            self.mshrs.allocate(line_addr, existing.ready_cycle)
             return max(1, existing.ready_cycle - cycle)
 
         if self.next_level is not None:

@@ -4,11 +4,12 @@ The repo's core correctness invariant — ``execute_run_fast(config)``
 bit-identical to ``execute_run(config)`` — is pinned by a hand-written
 differential grid.  This module turns it into a fuzzing gate: sample
 scenario expressions from the grammar (``fuzz:SEED`` names), run each
-through both kernels under precharge-heavy policies, and compare
-``RunResult.to_dict()`` payloads exactly.  On a mismatch the offending
-AST is *shrunk* to a minimal reproducer and written to the committed
-regression corpus (``tests/fuzz_corpus/``), which tier-1 replays
-forever (``tests/sim/test_fuzz_corpus.py``).
+through both kernels under policies, a subarray size, a node and a core
+shape drawn from the same seed, and compare ``RunResult.to_dict()``
+payloads exactly.  On a mismatch the offending AST is *shrunk* to a
+minimal reproducer and written to the committed regression corpus
+(``tests/fuzz_corpus/``), which tier-1 replays forever
+(``tests/sim/test_fuzz_corpus.py``).
 
 Drive it from the shell (CI runs exactly this)::
 
@@ -19,15 +20,16 @@ Exit status is 1 on any mismatch, 0 on a clean campaign.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import random
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Any, Callable, Dict, Iterator, List, Mapping, Optional, Tuple
 
+from .circuits.technology import available_nodes
 from .core.registry import PolicySpec
 from .core.threshold import CANDIDATE_THRESHOLDS
+from .cpu.pipeline import PipelineConfig
 from .sim.config import SimulationConfig
 from .sim.engine import execute_run, execute_run_fast
 from .workloads.fuzzgen import DEFAULT_FUZZ_DEPTH, generate_scenario
@@ -43,7 +45,9 @@ from .workloads.grammar import (
 __all__ = [
     "DEFAULT_FUZZ_INSTRUCTIONS",
     "FUZZ_POLICIES",
+    "FUZZ_SUBARRAY_BYTES",
     "FuzzResult",
+    "draw_geometry",
     "draw_policies",
     "fuzz_config",
     "load_corpus",
@@ -77,8 +81,10 @@ def _draw_spec(rng: random.Random) -> PolicySpec:
             "predecode_lead_cycles": rng.randint(1, 3),
         })
     if name == "resizable":
-        # Short enough to resize within a default-length fuzz run.
-        return PolicySpec(name, {"interval_accesses": rng.choice((100, 500, 2000))})
+        # 100-2,000 accesses resize within a default-length fuzz run; the
+        # default interval (no parameter) only within a long one.
+        interval = rng.choice((100, 500, 2000, None))
+        return PolicySpec(name, {} if interval is None else {"interval_accesses": interval})
     return PolicySpec(name)
 
 
@@ -95,23 +101,50 @@ def draw_policies(fuzz_seed: int) -> Dict[str, PolicySpec]:
     return {level: _draw_spec(rng) for level in ("dcache", "icache", "l2")}
 
 
+#: The L1 subarray sizes a fuzz run draws from (bytes).
+FUZZ_SUBARRAY_BYTES = (256, 512, 1024, 2048, 4096)
+
+
+def draw_geometry(fuzz_seed: int) -> Dict[str, Any]:
+    """The L1 subarray size, node and core shape of one fuzz seed, as
+    :class:`SimulationConfig` fields.  Each core knob (ROB and issue
+    queue, width and memory ports, LSQ, registers) ranges from Table 2's
+    default down to a small core."""
+    rng = random.Random(f"fuzz-geometry:{fuzz_seed}")
+    geometry: Dict[str, Any] = {
+        "subarray_bytes": rng.choice(FUZZ_SUBARRAY_BYTES),
+        "feature_size_nm": rng.choice(available_nodes()),
+    }
+    rob_entries, issue_queue_entries = rng.choice(((16, 8), (64, 32), (128, 64)))
+    width, memory_ports = rng.choice(((2, 1), (4, 2), (8, 4)))
+    geometry["pipeline"] = PipelineConfig(
+        width=width, rob_entries=rob_entries, issue_queue_entries=issue_queue_entries,
+        lsq_entries=rng.choice((4, 16, 64)), memory_ports=memory_ports,
+        max_registers=rng.choice((8, 32, 64)),
+    )
+    return geometry
+
+
 def fuzz_config(
     benchmark: str,
     n_instructions: int = DEFAULT_FUZZ_INSTRUCTIONS,
     seed: int = 1,
     policies: Optional[Mapping[str, PolicySpec]] = None,
+    geometry: Optional[Mapping[str, Any]] = None,
 ) -> SimulationConfig:
     """The configuration of one fuzz run.
 
-    ``policies`` maps ``dcache``, ``icache`` and ``l2`` to specs (a
-    campaign passes :func:`draw_policies`); a level it leaves out keeps
-    the configuration's default.
+    ``policies`` maps ``dcache``, ``icache`` and ``l2`` to specs and
+    ``geometry`` holds further configuration fields (a campaign passes
+    :func:`draw_policies` and :func:`draw_geometry`); anything they
+    leave out keeps the configuration's default.
     """
     return SimulationConfig(
         benchmark=benchmark,
         n_instructions=n_instructions,
         seed=seed,
         **(policies or {}),
+        **(geometry or {}),
     )
 
 
@@ -214,10 +247,10 @@ def shrink_scenario(
 # Corpus
 
 
-def corpus_filename(canonical: str) -> str:
-    """Stable content-addressed filename for one reproducer."""
-    digest = hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:16]
-    return f"repro-{digest}.json"
+def corpus_filename(config: SimulationConfig) -> str:
+    """Stable content-addressed filename for one reproducer: its run key,
+    so reproducers of one expression under different draws coexist."""
+    return f"repro-{config.cache_key()[:16]}.json"
 
 
 def write_corpus_entry(
@@ -234,7 +267,7 @@ def write_corpus_entry(
     corpus_dir = Path(corpus_dir)
     corpus_dir.mkdir(parents=True, exist_ok=True)
     entry = {"origin": origin, "config": config.to_dict()}
-    path = corpus_dir / corpus_filename(config.benchmark)
+    path = corpus_dir / corpus_filename(config)
     path.write_text(json.dumps(entry, indent=2, sort_keys=True) + "\n")
     return path
 
@@ -268,6 +301,8 @@ class FuzzResult:
     corpus_path: Optional[str] = None
     #: The drawn policy per cache level, as ``PolicySpec.to_dict()``.
     policies: Dict[str, Any] = field(default_factory=dict)
+    #: The drawn subarray size, node and pipeline (as ``to_dict()``).
+    geometry: Dict[str, Any] = field(default_factory=dict)
 
     def to_dict(self) -> Dict[str, object]:
         payload: Dict[str, object] = {
@@ -275,6 +310,7 @@ class FuzzResult:
             "canonical": self.canonical,
             "status": "match" if self.matched else "mismatch",
             "policies": self.policies,
+            "geometry": self.geometry,
         }
         if self.reproducer is not None:
             payload["reproducer"] = self.reproducer
@@ -296,9 +332,9 @@ def run_campaign(
 
     Seeds are ``seed_base .. seed_base + budget - 1``, so a fixed
     ``--seed-base`` makes the campaign a regression gate and a rotating
-    one makes it an explorer.  Each seed draws the scenario and every
-    cache level's policy.  Every mismatch is shrunk to a minimal
-    reproducer under the same policies; with ``corpus_dir`` set it is
+    one makes it an explorer.  Each seed draws the scenario, every
+    cache level's policy and the geometry.  Every mismatch is shrunk to
+    a minimal reproducer under the same draws; with ``corpus_dir`` set it is
     also written there for tier-1 to replay.  Returns a JSON-ready
     report.
     """
@@ -311,6 +347,7 @@ def run_campaign(
         root = generate_scenario(fuzz_seed, depth)
         canonical = unparse(root)
         policies = draw_policies(fuzz_seed)
+        geometry = draw_geometry(fuzz_seed)
 
         def config_for(benchmark: str) -> SimulationConfig:
             return fuzz_config(
@@ -318,12 +355,15 @@ def run_campaign(
                 n_instructions=n_instructions,
                 seed=workload_seed,
                 policies=policies,
+                geometry=geometry,
             )
 
         drawn = {level: spec.to_dict() for level, spec in policies.items()}
+        drawn_geometry = dict(geometry, pipeline=geometry["pipeline"].to_dict())
         if run_differential(config_for(name)):
             result = FuzzResult(
-                name=name, canonical=canonical, matched=True, policies=drawn
+                name=name, canonical=canonical, matched=True, policies=drawn,
+                geometry=drawn_geometry,
             )
         else:
             minimal = shrink_scenario(
@@ -333,7 +373,7 @@ def run_campaign(
             reproducer = unparse(minimal)
             result = FuzzResult(
                 name=name, canonical=canonical, matched=False,
-                reproducer=reproducer, policies=drawn,
+                reproducer=reproducer, policies=drawn, geometry=drawn_geometry,
             )
             if corpus_dir is not None:
                 path = write_corpus_entry(

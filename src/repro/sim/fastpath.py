@@ -15,6 +15,14 @@ comes from restructuring, not from approximating:
   combination predictor's state depends only on the branch sequence,
   never on timing, so each op's mispredict flag is a pure column
   (``mispred``) shared by every configuration that replays the trace;
+* everything else dispatch and issue need that timing cannot change is
+  **planned per trace and geometry** (:class:`_TracePlan`): a sequence
+  number is a trace row, so each op's register producers, the store it
+  may forward from and the LSQ's occupancy are columns of the trace,
+  built lazily as fetch reaches them and shared by every run with the
+  same register count and L1 line sizes.  The ROB, the fetch queue and
+  the LSQ are cursors over the rows; the kernel keeps no rename table,
+  no LSQ and no per-op copy of a trace column;
 * the out-of-order core is driven by a single monolithic kernel
   (:func:`_simulate`) that keeps all in-flight state in parallel integer
   lists instead of per-op objects.  The scheduler is *incremental*: each
@@ -49,7 +57,8 @@ equality on a policy x benchmark x subarray-size grid.
 
 The columns are plain Python lists in the interpreter's hot loop; the
 disk cache stores them as raw stdlib ``array("q")`` bytes, and
-:meth:`CompiledTrace.from_columns` rebuilds a trace from arrays or lists.
+:meth:`CompiledTrace.from_columns` rebuilds a trace from arrays or lists
+(plans are never persisted: a loaded trace plans as it is fetched).
 """
 
 from __future__ import annotations
@@ -61,7 +70,6 @@ import tempfile
 import threading
 from array import array
 from bisect import insort
-from collections import deque
 from hashlib import sha256
 from itertools import islice
 from pathlib import Path
@@ -206,14 +214,7 @@ class CompiledTrace:
     __slots__ = COLUMN_NAMES + (
         "rows", "exhausted", "_source", "_source_factory", "_lock",
         "_bimodal", "_gshare", "_chooser", "_history",
-        "disk_key", "persisted_rows",
-        # Derived fetch-batching structures (see _FetchPlan): the fetch
-        # queue encoding per op, branch/misprediction prefix sums, the
-        # positions of fetch-terminating branches, and per-line-size
-        # fetch plans.  All are pure functions of the columns above and
-        # are rebuilt when a trace is loaded.
-        "br_pref", "mp_pref", "terms", "_fetch_plans",
-        "_branch_count", "_mispred_count",
+        "disk_key", "persisted_rows", "_plans",
     )
 
     def __init__(
@@ -254,17 +255,8 @@ class CompiledTrace:
         self.disk_key: Optional[Tuple] = None
         #: Rows already persisted to disk for ``disk_key``.
         self.persisted_rows = 0
-        #: Prefix sums over the branch / mispredict indicators:
-        #: ``br_pref[i]`` counts branches among ops ``[0, i)``, so a
-        #: fetched window ``[a, b)`` contributes ``br_pref[b] - br_pref[a]``.
-        self.br_pref: List[int] = [0]
-        self.mp_pref: List[int] = [0]
-        #: Indices of fetch-terminating branches (taken or mispredicted),
-        #: ascending — a fetch window never crosses one.
-        self.terms: List[int] = []
-        self._branch_count = 0
-        self._mispred_count = 0
-        self._fetch_plans: Dict[int, "_FetchPlan"] = {}
+        #: The run plans of this trace, per geometry (see :meth:`plan`).
+        self._plans: Dict[Tuple[int, int, int], "_TracePlan"] = {}
 
     def __len__(self) -> int:
         return self.rows
@@ -305,11 +297,6 @@ class CompiledTrace:
         taken = self.taken
         target = self.target
         mispred = self.mispred
-        br_pref = self.br_pref
-        mp_pref = self.mp_pref
-        terms = self.terms
-        branch_count = self._branch_count
-        mispred_count = self._mispred_count
         kind_of = _KIND_OF
         branch_kind = K_BRANCH
         # Predictor state, hoisted; written back after the batch.
@@ -345,18 +332,8 @@ class CompiledTrace:
             else:
                 flag = 0
             mispred.append(flag)
-            index = self.rows
-            if op_kind == branch_kind:
-                branch_count += 1
-                mispred_count += flag
-                if flag or uop_taken:
-                    terms.append(index)
-            br_pref.append(branch_count)
-            mp_pref.append(mispred_count)
-            self.rows = index + 1
+            self.rows += 1
         self._history = history
-        self._branch_count = branch_count
-        self._mispred_count = mispred_count
 
     # ------------------------------------------------------------------
     def micro_op(self, index: int) -> MicroOp:
@@ -444,7 +421,6 @@ class CompiledTrace:
             trace._restore_predictor(predictor)
         else:
             trace._replay_predictor()
-        trace._rebuild_derived()
         return trace
 
     def _restore_predictor(self, predictor: Dict[str, object]) -> None:
@@ -475,92 +451,137 @@ class CompiledTrace:
             )
         self._history = history
 
-    def _rebuild_derived(self) -> None:
-        """Recompute the fetch-batching structures from the base columns.
-
-        Used after :meth:`from_columns`, e.g. on a disk-cache load.
-        """
-        rows = self.rows
-        kind = self.kind
-        taken = self.taken
-        mispred = self.mispred
-        br_pref = [0] * (rows + 1)
-        mp_pref = [0] * (rows + 1)
-        terms: List[int] = []
-        branch_count = 0
-        mispred_count = 0
-        branch_kind = K_BRANCH
-        for index in range(rows):
-            flag = mispred[index]
-            if kind[index] == branch_kind:
-                branch_count += 1
-                mispred_count += flag
-                if flag or taken[index]:
-                    terms.append(index)
-            br_pref[index + 1] = branch_count
-            mp_pref[index + 1] = mispred_count
-        self.br_pref = br_pref
-        self.mp_pref = mp_pref
-        self.terms = terms
-        self._branch_count = branch_count
-        self._mispred_count = mispred_count
-        self._fetch_plans = {}
-
     # ------------------------------------------------------------------
-    # Fetch plans (per i-cache line size)
+    # Run plans (per register count and line sizes)
     # ------------------------------------------------------------------
-    def fetch_plan(self, offset_bits: int) -> "_FetchPlan":
-        """The (cached) fetch-window geometry for one line size."""
-        plan = self._fetch_plans.get(offset_bits)
+    def plan(self, n_regs: int, i_offset_bits: int, d_offset_bits: int) -> "_TracePlan":
+        """The (cached) plan of one run geometry; it starts empty and
+        grows through :meth:`extend_plan`."""
+        key = (n_regs, i_offset_bits, d_offset_bits)
+        plan = self._plans.get(key)
         if plan is None:
             with self._lock:
-                plan = self._fetch_plans.get(offset_bits)
+                plan = self._plans.get(key)
                 if plan is None:
-                    plan = _FetchPlan(offset_bits)
-                    self._fetch_plans[offset_bits] = plan
-        self.extend_fetch_plan(plan)
+                    plan = self._plans[key] = _TracePlan(*key)
         return plan
 
-    def extend_fetch_plan(self, plan: "_FetchPlan") -> None:
-        """Grow ``plan`` to cover every materialised row."""
-        if plan.upto >= self.rows:
-            return
+    def extend_plan(self, plan: "_TracePlan", index: int) -> None:
+        """Grow ``plan`` by one chunk from row ``index``, which must exist."""
         with self._lock:
-            plan.extend_to(self.pc, self.rows)
+            if plan.upto <= index:
+                plan.extend_to(self, min(self.rows, index + _COMPILE_CHUNK))
 
 
-class _FetchPlan:
-    """Per-line-size fetch geometry of a compiled trace.
+class _TracePlan:
+    """The trace-derived columns of one run geometry.
 
-    ``lines[i]`` is op *i*'s instruction-cache line; ``run_end[i]`` is
-    the first index after *i* on a different line, conservatively capped
-    at the materialised end when computed (harmless: a fetch window that
-    stops early continues in the next iteration without re-probing,
-    because the line has not changed).
+    The kernel's sequence numbers are trace rows (dispatch takes the
+    rows in order from row 0), so everything dispatch and issue need
+    besides timing is a pure function of the trace, the register count
+    and the two L1 line sizes:
+
+    * ``run_end[i]`` is the first row after *i* on another
+      instruction-cache line, capped at the plan's end when computed
+      (harmless: a fetch window that stops early continues on the same
+      line without a re-probe);
+    * ``terms`` holds the fetch-terminating branches (taken or
+      mispredicted), ascending — a fetch window never crosses one;
+    * ``prod1[i]`` / ``prod2[i]`` is the distance back to the last
+      writer of row *i*'s first / second source register, modulo the
+      register count as :class:`~repro.cpu.regfile.RenameTable` maps
+      it, 0 for none;
+    * ``fwd[i]`` is, for a load, the distance back to the latest older
+      store to its data line, 0 for none; the load forwards iff that
+      store has not committed, ``fwd[i] <= i - rob_begin``;
+    * ``mem[i]`` counts the memory ops among rows ``[0, i)``.  After
+      commit the LSQ holds exactly the memory ops of the ROB's rows
+      ``[rob_begin, next_seq)``, so its occupancy is
+      ``mem[next_seq] - mem[rob_begin]``.
+
+    Distances are mostly small integers, which the interpreter shares.
+    A plan covers rows ``[0, upto)`` and grows one :data:`_COMPILE_CHUNK`
+    at a time as fetch reaches its end.
     """
 
-    __slots__ = ("offset_bits", "lines", "run_end", "upto")
+    __slots__ = (
+        "n_regs", "i_offset_bits", "d_offset_bits", "upto",
+        "run_end", "terms", "prod1", "prod2", "fwd", "mem",
+        "_writer", "_last_store",
+    )
 
-    def __init__(self, offset_bits: int) -> None:
-        self.offset_bits = offset_bits
-        self.lines: List[int] = []
-        self.run_end: List[int] = []
+    def __init__(self, n_regs: int, i_offset_bits: int, d_offset_bits: int) -> None:
+        self.n_regs = n_regs
+        self.i_offset_bits = i_offset_bits
+        self.d_offset_bits = d_offset_bits
         self.upto = 0
+        self.run_end: List[int] = []
+        self.terms: List[int] = []
+        self.prod1: List[int] = []
+        self.prod2: List[int] = []
+        self.fwd: List[int] = []
+        self.mem: List[int] = [0]
+        #: Last row writing each register, -1 for none.
+        self._writer = [-1] * n_regs
+        #: Last row storing to each data line.
+        self._last_store: Dict[int, int] = {}
 
-    def extend_to(self, pc: List[int], rows: int) -> None:
+    def extend_to(self, trace: CompiledTrace, rows: int) -> None:
+        """Cover rows ``[upto, rows)`` of ``trace``."""
         start = self.upto
         if rows <= start:
             return
-        bits = self.offset_bits
-        lines = self.lines
-        lines.extend([value >> bits for value in pc[start:rows]])
+        bits = self.i_offset_bits
+        lines = [value >> bits for value in trace.pc[start:rows]]
         run_end = self.run_end
         run_end.extend([0] * (rows - start))
         run_end[rows - 1] = rows
         for index in range(rows - 2, start - 1, -1):
             run_end[index] = (
-                index + 1 if lines[index + 1] != lines[index] else run_end[index + 1]
+                index + 1
+                if lines[index + 1 - start] != lines[index - start]
+                else run_end[index + 1]
             )
+        kind = trace.kind
+        src1 = trace.src1
+        src2 = trace.src2
+        dest = trace.dest
+        addr = trace.addr
+        taken = trace.taken
+        mispred = trace.mispred
+        terms = self.terms
+        prod1 = self.prod1
+        prod2 = self.prod2
+        fwd = self.fwd
+        mem = self.mem
+        writer = self._writer
+        last_store = self._last_store
+        n_regs = self.n_regs
+        d_bits = self.d_offset_bits
+        memory_ops = mem[-1]
+        for index in range(start, rows):
+            register = src1[index]
+            last = writer[register % n_regs] if register >= 0 else -1
+            prod1.append(index - last if last >= 0 else 0)
+            register = src2[index]
+            last = writer[register % n_regs] if register >= 0 else -1
+            prod2.append(index - last if last >= 0 else 0)
+            register = dest[index]
+            if register >= 0:
+                writer[register % n_regs] = index
+            op_kind = kind[index]
+            if op_kind == K_LOAD:
+                last = last_store.get(addr[index] >> d_bits, -1)
+                fwd.append(index - last if last >= 0 else 0)
+                memory_ops += 1
+            else:
+                fwd.append(0)
+                if op_kind == K_STORE:
+                    last_store[addr[index] >> d_bits] = index
+                    memory_ops += 1
+                elif op_kind == K_BRANCH and (mispred[index] or taken[index]):
+                    terms.append(index)
+            mem.append(memory_ops)
         self.upto = rows
 
 
@@ -1204,25 +1225,6 @@ def _simulate(
     # repro.faults when disarmed).
     prof = _obs_profile.active()
 
-    # Trace columns (the lists grow in place, so aliases stay valid).
-    t_kind = trace.kind
-    t_pc = trace.pc
-    t_dest = trace.dest
-    t_src1 = trace.src1
-    t_src2 = trace.src2
-    t_addr = trace.addr
-    t_base = trace.base
-    t_mispred = trace.mispred
-    t_len = trace.rows
-    # Fetch-batching structures: the fetch-queue encoding, the branch /
-    # mispredict prefix sums, the terminating-branch positions and the
-    # per-line window geometry (see _FetchPlan).
-    b_pref = trace.br_pref
-    m_pref = trace.mp_pref
-    t_terms = trace.terms
-    n_terms = len(t_terms)
-    term_ptr = 0
-
     # Machine parameters.
     width = pipeline_config.width
     rob_cap = pipeline_config.rob_entries
@@ -1232,49 +1234,53 @@ def _simulate(
     fetch_queue_size = pipeline_config.fetch_queue_size
     dispatch_latency = pipeline_config.dispatch_latency
     redirect_penalty = pipeline_config.redirect_penalty
-    n_regs = pipeline_config.max_registers
     spec_latency = l1d.base_latency + pipeline_config.speculative_extra_latency
     limit = n_instructions * pipeline_config.max_cycles_per_instruction
-    d_offset_bits = l1d._offset_bits
     d_base_latency = l1d.base_latency
-    i_offset_bits = l1i._offset_bits
     i_base_latency = l1i.base_latency
+    i_offset_bits = l1i._offset_bits
     l1d_access = l1d.access
     l1i_access = l1i.access
-    fetch_plan = trace.fetch_plan(i_offset_bits)
-    p_lines = fetch_plan.lines
-    p_run_end = fetch_plan.run_end
+
+    # Trace columns and this geometry's plan (all grow in place, so the
+    # aliases stay valid).  A sequence number is a trace row.
+    t_kind = trace.kind
+    t_pc = trace.pc
+    t_addr = trace.addr
+    t_base = trace.base
+    t_mispred = trace.mispred
+    plan = trace.plan(pipeline_config.max_registers, i_offset_bits, l1d._offset_bits)
+    planned = plan.upto
+    p_run_end = plan.run_end
+    p_prod1 = plan.prod1
+    p_prod2 = plan.prod2
+    p_fwd = plan.fwd
+    p_mem = plan.mem
+    p_terms = plan.terms
+    n_terms = len(p_terms)
+    term_ptr = 0
 
     # Per-in-flight-op parallel arrays, indexed by sequence number.
     # Preallocated: at most n_instructions commit, plus at most a full
     # ROB of un-committed dispatches when the loop exits, so next_seq
     # never reaches the bound.  The prefill doubles as the initial state
-    # (-1 = not issued, True = in scheduler, None = no dependents), so
-    # dispatch only writes the fields that vary.
+    # (-1 = not issued, None = no dependents), so dispatch only writes
+    # the fields that vary.
     op_capacity = n_instructions + rob_cap + 2 * width + 8
-    o_kind = [0] * op_capacity
-    o_trace = [0] * op_capacity    # trace index of the op
     o_complete = [-1] * op_capacity  # -1 while not issued
     o_ready = [0] * op_capacity    # running max of earliest / producer completes
     o_pending = [0] * op_capacity  # producers not yet issued
-    o_in_iq = [True] * op_capacity
-    o_mispred = [0] * op_capacity
     #: Dependents registered while incomplete; None until the first one
     #: arrives (most ops never acquire any, so the lists are lazy).
     o_deps: List[Optional[List[int]]] = [None] * op_capacity
 
-    rename = [-1] * n_regs
-    # The reorder buffer is a contiguous range of sequence numbers
-    # [rob_begin, next_seq): dispatch allocates ascending sequences and
-    # commit retires them in order, so the whole structure is a cursor.
+    # The pipeline's queues are cursors over the trace rows: the ROB is
+    # [rob_begin, next_seq) and the fetch queue [next_seq, fetch_index).
+    # Fetch appends rows in order, dispatch takes them in order and
+    # commit retires them in order; the LSQ is the ROB's memory ops.
     rob_begin = 0
-    lsq: "deque[Tuple[int, bool, int]]" = deque()  # (sequence, is_store, line)
-    #: Store sequence numbers currently in the LSQ, per line address, in
-    #: program order — the store-to-load forwarding probe reads the
-    #: per-line head instead of scanning the whole LSQ (a load forwards
-    #: iff *any* older store to its line is present, i.e. iff the oldest
-    #: store on the line is older).
-    store_seqs_by_line: Dict[int, "deque[int]"] = {}
+    next_seq = 0
+    fetch_index = 0
     # The issue queue, split by wakeup state.  ``iq_waiting`` holds ops
     # with no pending producers, sorted by sequence number — which is
     # exactly the reference scheduler's (insertion-order) scan order.
@@ -1288,15 +1294,7 @@ def _simulate(
     #: scan is skipped while cycle < iq_min_wake (batched scheduling).
     iq_min_wake = _NEVER
 
-    # Fetch state.  The fetch queue is a contiguous range of trace
-    # indices [fq_begin, fq_end): fetch appends strictly ascending
-    # indices and dispatch consumes them in order, so two cursors over
-    # the trace columns replace the queue (the mispredict flag rides in
-    # the ``mispred`` column).
-    fq_begin = 0
-    fq_end = 0
-    fetch_index = 0
-    pushback = -1
+    # Fetch state.  A stalled fetch retries the same row, fetch_index.
     stall_until = 0
     waiting_redirect = False
     last_line = -1
@@ -1304,11 +1302,7 @@ def _simulate(
 
     # Counters.
     cycle = 0
-    next_seq = 0
     committed = 0
-    fetched_instructions = 0
-    branches = 0
-    branch_mispredictions = 0
     icache_stall_cycles = 0
     dcache_accesses = 0
     replayed_uops = 0
@@ -1317,7 +1311,7 @@ def _simulate(
     dispatch_stall_cycles = 0
 
     while committed < n_instructions:
-        if exhausted and rob_begin == next_seq and fq_begin == fq_end:
+        if exhausted and rob_begin == fetch_index:
             break
 
         # ---------------------------- commit ----------------------------
@@ -1329,16 +1323,6 @@ def _simulate(
             rob_begin += 1
             retired += 1
         committed += retired
-        # When the ROB is empty rob_begin == next_seq, which is exactly
-        # the reference's "retire everything older than the next op".
-        bound = rob_begin
-        while lsq and lsq[0][0] < bound:
-            retired_seq, retired_is_store, retired_line = lsq.popleft()
-            if retired_is_store:
-                line_queue = store_seqs_by_line[retired_line]
-                line_queue.popleft()
-                if not line_queue:
-                    del store_seqs_by_line[retired_line]
 
         # ---------------------------- issue -----------------------------
         if iq_waiting and cycle >= iq_min_wake:
@@ -1362,7 +1346,7 @@ def _simulate(
                     if ready < next_wake:
                         next_wake = ready
                     continue
-                kind = o_kind[seq]
+                kind = t_kind[seq]
                 if kind == K_LOAD or kind == K_STORE:
                     if memory_used >= memory_ports:
                         keep.append(seq)
@@ -1379,52 +1363,37 @@ def _simulate(
             iq_waiting = keep
             iq_len -= n_selected
             iq_min_wake = next_wake
-            # Marking an op out-of-scheduler fuses into the execution
-            # loop: a selected op can never appear in another selected
-            # op's dependent list (dependents still have a pending
-            # producer at scan time), so the replay count below never
-            # observes the difference.
             for seq in selected:
-                o_in_iq[seq] = False
-                kind = o_kind[seq]
-                trace_index = o_trace[seq]
+                kind = t_kind[seq]
                 if kind == K_LOAD:
                     dcache_accesses += 1
-                    address = t_addr[trace_index]
-                    base = t_base[trace_index]
+                    address = t_addr[seq]
+                    base = t_base[seq]
                     hit, latency, pre_penalty = l1d_access(
                         address, cycle, False, None if base < 0 else base
                     )
                     if pre_penalty > 0:
                         delayed_loads += 1
-                    line = address >> d_offset_bits
-                    line_stores = store_seqs_by_line.get(line)
-                    if line_stores is not None and line_stores[0] < seq:
+                    distance = p_fwd[seq]
+                    if distance and distance <= seq - rob_begin:
+                        # An older store to the line is still in the LSQ.
                         if d_base_latency < latency:
                             latency = d_base_latency
                     complete = cycle + latency
                     if latency > spec_latency:
                         # Load-hit misspeculation: selectively replay the
-                        # dependents still waiting in the scheduler.
+                        # dependents waiting in the scheduler.  Those are
+                        # exactly the registered ones (none can issue
+                        # before this load); one reading the load through
+                        # both sources is listed twice but replays once.
                         dependents = o_deps[seq]
                         if dependents:
-                            counted_twice = 0
-                            matched = 0
-                            previous_dep = -1
-                            for dep in dependents:
-                                if o_in_iq[dep]:
-                                    matched += 1
-                                    if dep == previous_dep:
-                                        counted_twice += 1
-                                previous_dep = dep
-                            replayed_uops += matched - counted_twice
+                            replayed_uops += len(set(dependents))
                     o_complete[seq] = complete
                 elif kind == K_STORE:
                     dcache_accesses += 1
-                    base = t_base[trace_index]
-                    l1d_access(
-                        t_addr[trace_index], cycle, True, None if base < 0 else base
-                    )
+                    base = t_base[seq]
+                    l1d_access(t_addr[seq], cycle, True, None if base < 0 else base)
                     # Stores complete once sent to the LSQ; the write
                     # drains in the background.
                     complete = cycle + _EXEC_LATENCY[K_STORE]
@@ -1432,7 +1401,7 @@ def _simulate(
                 else:
                     complete = cycle + _EXEC_LATENCY[kind]
                     o_complete[seq] = complete
-                    if kind == K_BRANCH and o_mispred[seq]:
+                    if kind == K_BRANCH and t_mispred[seq]:
                         # Resolved misprediction: restart the front end.
                         waiting_redirect = False
                         resume = complete + redirect_penalty
@@ -1459,64 +1428,54 @@ def _simulate(
                 prof.issue_scans += 1
 
         # --------------------------- dispatch ----------------------------
+        # A memory op stalls dispatch when the LSQ is full: one more
+        # would take the count of memory ops past the ROB head over it.
+        lsq_bound = p_mem[rob_begin] + lsq_cap
         dispatched = 0
-        while dispatched < width and fq_begin < fq_end:
-            if next_seq - rob_begin >= rob_cap or iq_len >= iq_cap:
+        while dispatched < width and next_seq < fetch_index:
+            if (
+                next_seq - rob_begin >= rob_cap
+                or iq_len >= iq_cap
+                or p_mem[next_seq + 1] > lsq_bound
+            ):
                 dispatch_stall_cycles += 1
                 break
-            trace_index = fq_begin
-            kind = t_kind[trace_index]
-            is_memory = kind == K_LOAD or kind == K_STORE
-            if is_memory and len(lsq) >= lsq_cap:
-                dispatch_stall_cycles += 1
-                break
-            fq_begin += 1
             seq = next_seq
             next_seq += 1
-            o_kind[seq] = kind
-            o_trace[seq] = trace_index
-            if t_mispred[trace_index]:
-                o_mispred[seq] = 1
             ready = cycle + dispatch_latency
             pending = 0
-            src1 = t_src1[trace_index]
-            if src1 >= 0:
-                producer = rename[src1 % n_regs]
-                if producer >= 0:
-                    producer_complete = o_complete[producer]
-                    if producer_complete >= 0:
-                        if producer_complete > ready:
-                            ready = producer_complete
+            distance = p_prod1[seq]
+            if distance:
+                producer = seq - distance
+                producer_complete = o_complete[producer]
+                if producer_complete >= 0:
+                    if producer_complete > ready:
+                        ready = producer_complete
+                else:
+                    pending += 1
+                    producer_deps = o_deps[producer]
+                    if producer_deps is None:
+                        o_deps[producer] = [seq]
                     else:
-                        pending += 1
-                        producer_deps = o_deps[producer]
-                        if producer_deps is None:
-                            o_deps[producer] = [seq]
-                        else:
-                            producer_deps.append(seq)
-            src2 = t_src2[trace_index]
-            if src2 >= 0:
-                producer = rename[src2 % n_regs]
-                if producer >= 0:
-                    producer_complete = o_complete[producer]
-                    if producer_complete >= 0:
-                        if producer_complete > ready:
-                            ready = producer_complete
+                        producer_deps.append(seq)
+            distance = p_prod2[seq]
+            if distance:
+                producer = seq - distance
+                producer_complete = o_complete[producer]
+                if producer_complete >= 0:
+                    if producer_complete > ready:
+                        ready = producer_complete
+                else:
+                    pending += 1
+                    producer_deps = o_deps[producer]
+                    if producer_deps is None:
+                        o_deps[producer] = [seq]
                     else:
-                        pending += 1
-                        producer_deps = o_deps[producer]
-                        if producer_deps is None:
-                            o_deps[producer] = [seq]
-                        else:
-                            producer_deps.append(seq)
+                        producer_deps.append(seq)
             o_ready[seq] = ready
-            if pending:
-                o_pending[seq] = pending
-            dest = t_dest[trace_index]
-            if dest >= 0:
-                rename[dest % n_regs] = seq
             iq_len += 1
             if pending:
+                o_pending[seq] = pending
                 iq_blocked += 1
             else:
                 # New sequence numbers are monotonic, so a plain append
@@ -1524,57 +1483,42 @@ def _simulate(
                 iq_waiting.append(seq)
                 if ready < iq_min_wake:
                     iq_min_wake = ready
-            if is_memory:
-                line = t_addr[trace_index] >> d_offset_bits
-                is_store = kind == K_STORE
-                lsq.append((seq, is_store, line))
-                if is_store:
-                    line_queue = store_seqs_by_line.get(line)
-                    if line_queue is None:
-                        store_seqs_by_line[line] = deque((seq,))
-                    else:
-                        line_queue.append(seq)
             dispatched += 1
 
         # ---------------------------- fetch ------------------------------
         # Windowed: between i-cache events (line changes, stalls) the
         # remaining ops of the current line are independent of timing, so
-        # they move into the fetch queue as one precomputed slice, with
-        # branch statistics read off prefix sums.  Windows never cross a
-        # terminating branch (taken or mispredicted) — exactly where the
-        # reference's per-op loop stops fetching.
+        # they move into the fetch queue as one precomputed slice.
+        # Windows never cross a terminating branch (taken or
+        # mispredicted) — exactly where the reference's per-op loop stops
+        # fetching.
         if not waiting_redirect and cycle >= stall_until:
             if prof is not None:
                 _fetch_t0 = _perf()
             fetched = 0
-            while fetched < width and fq_end - fq_begin < fetch_queue_size:
-                if pushback >= 0:
-                    index = pushback
-                    pushback = -1
-                else:
-                    index = fetch_index
-                    if index >= t_len:
-                        if prof is None:
-                            grown = trace.ensure(index)
-                        else:
-                            _compile_t0 = _perf()
-                            grown = trace.ensure(index)
-                            _compile_dt = _perf() - _compile_t0
-                            prof.compile_s += _compile_dt
-                            prof.compiles += 1
-                            # Mid-fetch trace growth is compile time;
-                            # shift the round's start so the fetch phase
-                            # does not absorb it.
-                            _fetch_t0 += _compile_dt
-                        if grown:
-                            t_len = trace.rows
-                            trace.extend_fetch_plan(fetch_plan)
-                            n_terms = len(t_terms)
-                        else:
-                            exhausted = True
-                            break
+            while fetched < width and fetch_index - next_seq < fetch_queue_size:
+                index = fetch_index
+                if index >= planned:
+                    if prof is None:
+                        grown = trace.ensure(index)
+                    else:
+                        _compile_t0 = _perf()
+                        grown = trace.ensure(index)
+                        _compile_dt = _perf() - _compile_t0
+                        prof.compile_s += _compile_dt
+                        prof.compiles += 1
+                        # Mid-fetch trace growth is compile time;
+                        # shift the round's start so the fetch phase
+                        # does not absorb it.
+                        _fetch_t0 += _compile_dt
+                    if not grown:
+                        exhausted = True
+                        break
+                    trace.extend_plan(plan, index)
+                    planned = plan.upto
+                    n_terms = len(p_terms)
 
-                line = p_lines[index]
+                line = t_pc[index] >> i_offset_bits
                 if line != last_line:
                     _hit, latency, pre_penalty = l1i_access(
                         t_pc[index], cycle, False, None
@@ -1588,30 +1532,24 @@ def _simulate(
                         # cycle: stall and retry the instruction later.
                         icache_stall_cycles += extra
                         stall_until = cycle + extra
-                        pushback = index
                         break
 
                 window_end = p_run_end[index]
                 budget = width - fetched
-                space = fetch_queue_size - (fq_end - fq_begin)
+                space = fetch_queue_size - (fetch_index - next_seq)
                 if space < budget:
                     budget = space
                 if window_end > index + budget:
                     window_end = index + budget
-                while term_ptr < n_terms and t_terms[term_ptr] < index:
+                while term_ptr < n_terms and p_terms[term_ptr] < index:
                     term_ptr += 1
                 terminated = False
                 if term_ptr < n_terms:
-                    term_index = t_terms[term_ptr]
+                    term_index = p_terms[term_ptr]
                     if term_index < window_end:
                         window_end = term_index + 1
                         terminated = True
-                fq_end = window_end
-                count = window_end - index
-                fetched += count
-                fetched_instructions += count
-                branches += b_pref[window_end] - b_pref[index]
-                branch_mispredictions += m_pref[window_end] - m_pref[index]
+                fetched += window_end - index
                 fetch_index = window_end
                 if terminated:
                     if t_mispred[window_end - 1]:
@@ -1639,17 +1577,15 @@ def _simulate(
         # which any stage can act.  Every skipped cycle with a non-empty
         # fetch queue is a blocked dispatch cycle in the reference model,
         # so the stall counter is charged for the whole window.
-        if committed >= n_instructions or (
-            exhausted and rob_begin == next_seq and fq_begin == fq_end
-        ):
+        if committed >= n_instructions or (exhausted and rob_begin == fetch_index):
             continue
-        if fq_begin < fq_end:
-            if next_seq - rob_begin < rob_cap and iq_len < iq_cap:
-                head_kind = t_kind[fq_begin]
-                if (
-                    head_kind != K_LOAD and head_kind != K_STORE
-                ) or len(lsq) < lsq_cap:
-                    continue  # dispatch acts next cycle: no quiet region
+        if (
+            next_seq < fetch_index
+            and next_seq - rob_begin < rob_cap
+            and iq_len < iq_cap
+            and p_mem[next_seq + 1] - p_mem[rob_begin] <= lsq_cap
+        ):
+            continue  # dispatch acts next cycle: no quiet region
         if prof is not None:
             _quiet_t0 = _perf()
         wake = _NEVER
@@ -1661,8 +1597,8 @@ def _simulate(
             wake = iq_min_wake
         if (
             not waiting_redirect
-            and fq_end - fq_begin < fetch_queue_size
-            and (pushback >= 0 or not exhausted)
+            and fetch_index - next_seq < fetch_queue_size
+            and not exhausted
         ):
             fetch_wake = stall_until if stall_until > cycle else cycle
             if fetch_wake < wake:
@@ -1675,18 +1611,20 @@ def _simulate(
                     "pipeline exceeded the livelock safety bound "
                     f"({limit + 1} cycles for {n_instructions} instructions)"
                 )
-            if fq_begin < fq_end:
+            if next_seq < fetch_index:
                 dispatch_stall_cycles += wake - cycle
             cycle = wake
         if prof is not None:
             prof.quiet_skip_s += _perf() - _quiet_t0
             prof.quiet_skips += 1
 
+    # Fetch windows tile the rows [0, fetch_index), so the fetch
+    # statistics are counts over that prefix.
     stats.cycles = cycle
     stats.committed_instructions = committed
-    stats.fetched_instructions = fetched_instructions
-    stats.branch_mispredictions = branch_mispredictions
-    stats.branches = branches
+    stats.fetched_instructions = fetch_index
+    stats.branch_mispredictions = sum(t_mispred[:fetch_index])
+    stats.branches = t_kind[:fetch_index].count(K_BRANCH)
     stats.icache_fetch_stall_cycles = icache_stall_cycles
     stats.dcache_access_count = dcache_accesses
     stats.load_replays = replayed_uops

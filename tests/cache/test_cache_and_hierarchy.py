@@ -67,6 +67,23 @@ class TestBasicCaching:
             cache.access(0x5000 + i * 4, cycle=i)
         assert cache.miss_ratio == pytest.approx(1 / 8)
 
+    def test_secondary_miss_inside_the_fill_window_merges(self):
+        # Two conflicting lines evict the first while its fill is still
+        # outstanding (12 cycles); missing on it again merges into that
+        # MSHR entry instead of allocating a second one.
+        cache = make_cache()
+        n_sets = cache.organization.n_sets
+        line = cache.organization.line_bytes
+        first, second, third = (0x10000 + i * n_sets * line for i in range(3))
+        cache.access(first, cycle=0)
+        cache.access(second, cycle=1)
+        cache.access(third, cycle=2)
+        again = cache.access(first, cycle=3)
+        assert not again.hit
+        assert again.latency == cache.base_latency + 12 - 3
+        assert cache.mshrs.merged_misses == 1
+        assert cache.mshrs.outstanding(cache.line_address(first)).merged_requests == 2
+
     def test_accesses_map_to_expected_subarray(self):
         cache = make_cache()
         result = cache.access(0x0, cycle=0)

@@ -22,7 +22,6 @@ from hypothesis import given, settings, strategies as st
 
 from repro.cache.cache import SetAssociativeCache
 from repro.cache.hierarchy import MainMemory
-from repro.cache.mshr import MSHRFile
 from repro.circuits.cacti import cache_organization
 from repro.core.registry import PolicySpec, register_policy, unregister_policy
 from repro.core.static_pullup import StaticPullUpPolicy
@@ -134,22 +133,10 @@ def test_every_access_matches(policy: str, mshr_entries: int, stream) -> None:
 
 
 @pytest.mark.parametrize("mshr_entries", MSHR_ENTRIES)
-def test_streams_reach_mshr_merges_and_rejections(monkeypatch, mshr_entries: int):
+def test_streams_reach_mshr_merges_and_rejections(mshr_entries: int):
     # The comparison above means something only if such streams merge
-    # secondary misses and fill the MSHR file.  The reference never
-    # counts a merge (the secondary-miss path returns before allocate),
-    # so count the lookups that find an outstanding entry instead.
-    merges = []
-    outstanding = MSHRFile.outstanding
-
-    def counting(self, line_address):
-        entry = outstanding(self, line_address)
-        if entry is not None:
-            merges.append(line_address)
-        return entry
-
-    monkeypatch.setattr(MSHRFile, "outstanding", counting)
+    # secondary misses and fill the MSHR file.
     reference = _drive(SPECS["gated-predecode"], mshr_entries, _random_stream(7, 2000))
     assert reference.mshrs.rejected_allocations >= 1
     if mshr_entries >= 2:
-        assert merges
+        assert reference.mshrs.merged_misses

@@ -5,7 +5,8 @@ because it changes *nothing*: for every configuration,
 ``execute_run_fast(config).to_dict() == execute_run(config).to_dict()``
 exactly — integer cycle counts, float energy sums, gap lists, all of it.
 These tests pin that contract on a policy x benchmark x subarray-size
-grid plus the scenario and trace-replay workloads.
+grid, a pipeline-shape grid, and the scenario and trace-replay
+workloads.
 """
 
 from __future__ import annotations
@@ -13,6 +14,8 @@ from __future__ import annotations
 import pytest
 
 from repro.core.registry import PolicySpec, policy_names
+from repro.cpu.lsq import LoadStoreQueue
+from repro.cpu.pipeline import PipelineConfig
 from repro.sim.config import SimulationConfig
 from repro.sim.engine import SimEngine, execute_run, execute_run_fast
 from repro.sim.fastpath import clear_trace_cache, compile_workload
@@ -132,6 +135,45 @@ def test_resize_inside_the_grid(level: str, benchmark_name: str) -> None:
     fast = execute_run_fast(resizing).to_dict()
     assert fast == execute_run(resizing).to_dict()
     assert fast != execute_run_fast(config(PolicySpec("resizable"))).to_dict()
+
+
+#: Pipeline shapes that bind on gcc and art: each changes the result
+#: against Table 2's default core (asserted below).
+_PIPELINE_SHAPES = {
+    "lsq4": PipelineConfig(lsq_entries=4),
+    "regs8": PipelineConfig(max_registers=8),
+    "rob16-iq8": PipelineConfig(rob_entries=16, issue_queue_entries=8),
+    "width2-port1": PipelineConfig(width=2, memory_ports=1),
+}
+
+
+@pytest.mark.parametrize("shape", sorted(_PIPELINE_SHAPES))
+@pytest.mark.parametrize("benchmark_name", ["gcc", "art"])
+def test_pipeline_shape_grid(shape: str, benchmark_name: str, monkeypatch) -> None:
+    # Register producers, store forwarding and LSQ occupancy are planned
+    # per register count and line size, and the queues are cursors, so
+    # the core's shape must be varied against the reference too.
+    queues = []
+    init = LoadStoreQueue.__init__
+
+    def recording_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        queues.append(self)
+
+    monkeypatch.setattr(LoadStoreQueue, "__init__", recording_init)
+
+    def config(pipeline: PipelineConfig) -> SimulationConfig:
+        return SimulationConfig(
+            benchmark=benchmark_name, dcache="gated", pipeline=pipeline,
+            n_instructions=3000,
+        )
+
+    shaped = config(_PIPELINE_SHAPES[shape])
+    reference = execute_run(shaped).to_dict()
+    assert execute_run_fast(shaped).to_dict() == reference
+    assert reference != execute_run_fast(config(PipelineConfig())).to_dict()
+    [queue] = queues
+    assert queue.forwarded_loads > 0
 
 
 @pytest.mark.parametrize("l2_subarray_bytes", [4096, 16384])
@@ -355,10 +397,6 @@ def test_fast_engine_sweep_matches_reference_sweep() -> None:
 
 
 def test_livelock_bound_raises_identically() -> None:
-    from dataclasses import replace
-
-    from repro.cpu.pipeline import PipelineConfig
-
     config = SimulationConfig(
         benchmark="art",
         n_instructions=200,

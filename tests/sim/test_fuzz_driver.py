@@ -5,9 +5,12 @@ from __future__ import annotations
 import json
 
 from repro import fuzz
+from repro.circuits.technology import available_nodes
 from repro.fuzz import (
     FUZZ_POLICIES,
+    FUZZ_SUBARRAY_BYTES,
     corpus_filename,
+    draw_geometry,
     draw_policies,
     fuzz_config,
     load_corpus,
@@ -88,7 +91,8 @@ class TestCorpusIO:
     def test_round_trip(self, tmp_path):
         config = fuzz_config("mix:gcc+mcf@400", n_instructions=1234)
         path = write_corpus_entry(tmp_path, config, origin="fuzz:9/3")
-        assert path.name == corpus_filename("mix:gcc+mcf@400")
+        assert path.name == corpus_filename(config)
+        assert path.name == f"repro-{config.cache_key()[:16]}.json"
         entries = load_corpus(tmp_path)
         assert len(entries) == 1
         origin, loaded = entries[0]
@@ -100,6 +104,18 @@ class TestCorpusIO:
         write_corpus_entry(tmp_path, config, origin="a")
         write_corpus_entry(tmp_path, config, origin="b")
         assert len(load_corpus(tmp_path)) == 1
+
+    def test_one_expression_under_two_draws_keeps_two_entries(self, tmp_path):
+        # Reproducers are named by run key, not by expression alone, so
+        # the same scenario failing under two drawn policies keeps both.
+        expression = "mix:gcc+mcf@400"
+        first = fuzz_config(expression, policies=draw_policies(0))
+        second = fuzz_config(expression, policies=draw_policies(1))
+        assert first.dcache != second.dcache
+        write_corpus_entry(tmp_path, first, origin="fuzz:0/3")
+        write_corpus_entry(tmp_path, second, origin="fuzz:1/3")
+        assert len(list(tmp_path.glob("*.json"))) == 2
+        assert {config for _, config in load_corpus(tmp_path)} == {first, second}
 
     def test_missing_directory_loads_empty(self, tmp_path):
         assert load_corpus(tmp_path / "nope") == []
@@ -152,6 +168,13 @@ class TestPolicyDraw:
         for level in ("dcache", "icache", "l2"):
             assert {draw[level].name for draw in draws} == set(FUZZ_POLICIES)
 
+    def test_resizable_draws_the_default_interval(self):
+        draws = [draw_policies(seed)[level] for seed in range(80)
+                 for level in ("dcache", "icache", "l2")]
+        intervals = {dict(spec.params).get("interval_accesses")
+                     for spec in draws if spec.name == "resizable"}
+        assert intervals == {100, 500, 2000, None}
+
     def test_report_records_the_drawn_specs(self):
         report = run_campaign(budget=1, seed_base=3, depth=1, n_instructions=400)
         assert report["results"][0]["policies"] == {
@@ -172,3 +195,38 @@ class TestPolicyDraw:
         assert (config.dcache, config.icache, config.l2) == (
             drawn["dcache"], drawn["icache"], drawn["l2"]
         )
+        geometry = draw_geometry(4)
+        assert (config.subarray_bytes, config.feature_size_nm, config.pipeline) == (
+            geometry["subarray_bytes"], geometry["feature_size_nm"],
+            geometry["pipeline"],
+        )
+
+
+class TestGeometryDraw:
+    def test_draw_is_fixed_by_the_seed(self):
+        assert draw_geometry(5) == draw_geometry(5)
+        config = fuzz_config("gcc", geometry=draw_geometry(5))
+        assert config.pipeline == draw_geometry(5)["pipeline"]
+
+    def test_every_value_is_drawn(self):
+        draws = [draw_geometry(seed) for seed in range(80)]
+        assert {draw["subarray_bytes"] for draw in draws} == set(FUZZ_SUBARRAY_BYTES)
+        assert {draw["feature_size_nm"] for draw in draws} == set(available_nodes())
+        shapes = [draw["pipeline"] for draw in draws]
+        assert {shape.lsq_entries for shape in shapes} == {4, 16, 64}
+        assert {shape.max_registers for shape in shapes} == {8, 32, 64}
+        assert {(shape.rob_entries, shape.issue_queue_entries) for shape in shapes} == {
+            (16, 8), (64, 32), (128, 64)
+        }
+        assert {(shape.width, shape.memory_ports) for shape in shapes} == {
+            (2, 1), (4, 2), (8, 4)
+        }
+
+    def test_report_records_the_drawn_geometry(self):
+        report = run_campaign(budget=1, seed_base=3, depth=1, n_instructions=400)
+        geometry = draw_geometry(3)
+        assert report["results"][0]["geometry"] == {
+            "subarray_bytes": geometry["subarray_bytes"],
+            "feature_size_nm": geometry["feature_size_nm"],
+            "pipeline": geometry["pipeline"].to_dict(),
+        }

@@ -4,7 +4,11 @@ Pins the trace-cache contract:
 
 * ``from_columns`` over the ``array("q")`` columns the disk loader
   passes and live-compiled traces yield identical ``micro_op()`` streams
-  *and* identical precomputed predictor columns (property-based);
+  *and* identical precomputed predictor columns and run plans
+  (property-based);
+* a run plan extended in arbitrary chunks equals one built in a single
+  pass, matches the rename table's and the LSQ's definitions, and grows
+  only as far as fetch reaches;
 * a trace persisted to the on-disk cache round-trips — a fresh
   in-memory cache loads it and produces bit-identical runs;
 * garbage, truncated, length-, byte-order- or key-mismatched entries
@@ -23,6 +27,7 @@ import os
 import subprocess
 import sys
 from array import array
+from itertools import accumulate
 from pathlib import Path
 
 import pytest
@@ -38,7 +43,7 @@ from repro.sim.fastpath import (
     set_trace_cache_dir,
     trace_cache_dir,
 )
-from repro.workloads.trace import OP_ALU, OP_TYPES, MicroOp
+from repro.workloads.trace import OP_ALU, OP_LOAD, OP_STORE, OP_TYPES, MicroOp
 from repro.workloads.tracefile import record_benchmark
 
 SRC = Path(__file__).resolve().parents[2] / "src"
@@ -78,6 +83,24 @@ _micro_ops = st.builds(
 )
 
 
+#: (register count, L1I offset bits, L1D offset bits) plan geometries.
+_GEOMETRIES = ((64, 5, 5), (8, 6, 3), (1, 2, 6))
+
+_PLAN_COLUMNS = ("run_end", "terms", "prod1", "prod2", "fwd", "mem")
+
+
+def _full_plan(trace, geometry):
+    """The trace's plan for ``geometry``, extended over every row."""
+    plan = trace.plan(*geometry)
+    while plan.upto < trace.rows:
+        trace.extend_plan(plan, plan.upto)
+    return plan
+
+
+def _plan_columns(plan):
+    return {name: getattr(plan, name) for name in _PLAN_COLUMNS}
+
+
 class TestTypedColumns:
     @given(ops=st.lists(_micro_ops, max_size=120))
     @settings(max_examples=60, deadline=None)
@@ -98,12 +121,13 @@ class TestTypedColumns:
             assert rebuilt.rows == compiled.rows == len(ops)
             for index in range(len(ops)):
                 assert rebuilt.micro_op(index) == compiled.micro_op(index) == ops[index]
-            # The derived predictor / fetch-batching columns are pure
-            # functions of the base columns, so they must match too.
+            # The predictor column and the run plans are pure functions
+            # of the base columns, so they must match too.
             assert rebuilt.mispred == compiled.mispred
-            assert rebuilt.br_pref == compiled.br_pref
-            assert rebuilt.mp_pref == compiled.mp_pref
-            assert rebuilt.terms == compiled.terms
+            for geometry in _GEOMETRIES:
+                assert _plan_columns(_full_plan(rebuilt, geometry)) == (
+                    _plan_columns(_full_plan(compiled, geometry))
+                )
             assert rebuilt._bimodal == compiled._bimodal
             assert rebuilt._gshare == compiled._gshare
             assert rebuilt._chooser == compiled._chooser
@@ -124,6 +148,83 @@ class TestTypedColumns:
         rebuilt = CompiledTrace.from_columns(columns, exhausted=False)
         with pytest.raises(RuntimeError, match="continuation source"):
             rebuilt.ensure(5)
+
+
+# ----------------------------------------------------------------------
+# Run plans
+# ----------------------------------------------------------------------
+class TestTracePlan:
+    @given(
+        ops=st.lists(_micro_ops, max_size=120),
+        geometry=st.sampled_from(_GEOMETRIES),
+        chunks=st.lists(st.integers(min_value=1, max_value=40), max_size=8),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_chunked_plan_equals_single_pass(self, ops, geometry, chunks):
+        """Extending a plan in arbitrary chunks builds the same columns,
+        except that ``run_end`` may be capped earlier, at a chunk end."""
+        trace = CompiledTrace(iter(ops))
+        trace.ensure(len(ops))
+        whole = fastpath._TracePlan(*geometry)
+        whole.extend_to(trace, trace.rows)
+        chunked = fastpath._TracePlan(*geometry)
+        ends = set()
+        for size in chunks + [len(ops)]:
+            chunked.extend_to(trace, min(trace.rows, chunked.upto + size))
+            ends.add(chunked.upto)
+        assert chunked.upto == whole.upto == len(ops)
+        for name in _PLAN_COLUMNS:
+            if name != "run_end":
+                assert getattr(chunked, name) == getattr(whole, name)
+        for index, (capped, end) in enumerate(zip(chunked.run_end, whole.run_end)):
+            assert capped == end or (index < capped < end and capped in ends)
+
+    @given(ops=st.lists(_micro_ops, max_size=80), geometry=st.sampled_from(_GEOMETRIES))
+    @settings(max_examples=60, deadline=None)
+    def test_plan_matches_rename_and_lsq_semantics(self, ops, geometry):
+        """Producers are the last writer of the source register modulo
+        the register count, forwarding the latest older store to the
+        load's data line, and ``mem`` a count of memory ops."""
+        n_regs, _, d_bits = geometry
+        trace = CompiledTrace(iter(ops))
+        trace.ensure(len(ops))
+        plan = _full_plan(trace, geometry)
+
+        def distance(index, matches):
+            for earlier in range(index - 1, -1, -1):
+                if matches(ops[earlier]):
+                    return index - earlier
+            return 0
+
+        def writes(register):
+            return lambda op: (
+                register is not None and op.dest is not None
+                and op.dest % n_regs == register % n_regs
+            )
+
+        for index, op in enumerate(ops):
+            assert plan.prod1[index] == distance(index, writes(op.src1))
+            assert plan.prod2[index] == distance(index, writes(op.src2))
+            line = -1 if op.address is None else op.address >> d_bits
+            expected_fwd = distance(index, lambda older: (
+                older.op_type == OP_STORE
+                and (-1 if older.address is None else older.address >> d_bits) == line
+            )) if op.op_type == OP_LOAD else 0
+            assert plan.fwd[index] == expected_fwd
+        assert plan.mem == [0] + list(accumulate(
+            1 if op.op_type in (OP_LOAD, OP_STORE) else 0 for op in ops
+        ))
+
+    def test_a_short_run_plans_one_chunk(self, disk_cache):
+        # Plans grow as fetch reaches their end, never over every
+        # materialised row: a short run on a long trace pays for one
+        # chunk.
+        config = _config(n=200)
+        trace = compiled_trace_for(config.benchmark, seed=config.seed)
+        assert trace.ensure(3 * fastpath._COMPILE_CHUNK)
+        execute_run_fast(config)
+        [plan] = trace._plans.values()
+        assert plan.upto == fastpath._COMPILE_CHUNK
 
 
 # ----------------------------------------------------------------------
